@@ -2,10 +2,10 @@
 
 Treat D as the payoff matrix of a zero-sum game: one player mixes over
 vertices with a measure P and collects the worst-case expected distance
-min_u (D P)_u.  The game value (solved here by exact rational simplex with
-Bland's rule, certificates verified) equals K = n / ||w||_1 whenever w is
-non-negative.  On stars the value stays strictly above K, and the optimal
-maximin strategy doubles as a lower-bound witness.
+min_u (D P)_u.  The game value (a float simplex finds the optimal basis,
+which is then solved and certified exactly) equals K = n / ||w||_1
+whenever w is non-negative.  On stars the value stays strictly above K,
+and the optimal maximin strategy doubles as a lower-bound witness.
 """
 
 from graphcurv import (

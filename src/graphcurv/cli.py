@@ -110,11 +110,6 @@ def _load_graph(args) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _connected_apsp(g: Graph) -> DistanceMatrix:
-    # apsp refuses disconnected graphs with a named unreachable pair
-    return apsp(g)
-
-
 # ---------------------------------------------------------------------------
 # rational rendering
 
@@ -149,7 +144,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_dist(args) -> int:
     g = _load_graph(args)
-    D = _connected_apsp(g)
+    D = apsp(g)
     rows = D.row_lists()
     if args.format == "csv":
         for row in rows:
@@ -189,7 +184,7 @@ def _curvature_doc(D: DistanceMatrix, sol: CurvatureSolution) -> dict:
 
 def _cmd_curvature(args) -> int:
     g = _load_graph(args)
-    D = _connected_apsp(g)
+    D = apsp(g)
     if args.mode == "float":
         fsol = solve_curvature_float(D)
         if args.format == "csv":
@@ -270,7 +265,7 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args)
-    D = _connected_apsp(g)
+    D = apsp(g)
     sol = solve_curvature(D)
     if sol.status is SolveStatus.INCONSISTENT:
         raise InconsistentSystemError(f"D w = n 1 has no solution for this graph (n={g.n})")
@@ -309,7 +304,7 @@ def _game_doc(D: DistanceMatrix, sol: CurvatureSolution | None) -> dict:
     }
     comparison = None
     if sol is not None and sol.status is SolveStatus.UNIQUE:
-        cmp_rec = game_vs_curvature(D, sol)
+        cmp_rec = game_vs_curvature(D, sol, gsol)
         comparison = {
             "K": rational_str(cmp_rec.K),
             "K_float": to_float(cmp_rec.K),
@@ -323,7 +318,7 @@ def _game_doc(D: DistanceMatrix, sol: CurvatureSolution | None) -> dict:
 
 def _cmd_game(args) -> int:
     g = _load_graph(args)
-    D = _connected_apsp(g)
+    D = apsp(g)
     sol = solve_curvature(D)
     doc = {"command": "game", "input": args.input, "n": g.n, "m": g.m}
     doc.update(_game_doc(D, sol))
@@ -341,7 +336,7 @@ def _render_game_table(doc: dict) -> None:
 
 def _cmd_report(args) -> int:
     g = _load_graph(args)
-    D = _connected_apsp(g)
+    D = apsp(g)
     sol = solve_curvature(D)
     ecc, radius, diameter = eccentricities(D)
     sums = row_sums(D)

@@ -1,8 +1,11 @@
 """Exact solution of D w = n 1 and the curvature bound K = n / ||w||_1.
 
-The exact path runs Gaussian elimination with partial pivoting over
-rationals; rank and consistency are decided there and only there.  The float
-path is plain LU for large instances and never classifies the solution set.
+The exact path runs fraction-free Bareiss elimination on Python ints
+(`bareiss_solve`); rank and consistency are decided there and only there,
+and w is returned only after the integer identity D num = n den 1 holds.
+The same kernel solves the basis systems of the game certificate
+(graphcurv.game).  The float path is plain LU for large instances and never
+classifies the solution set.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .errors import InconsistentSystemError, NumericallySingularError
+from .errors import HardVerificationError, InconsistentSystemError, NumericallySingularError
 from .metric import DistanceMatrix, row_sums
 
 FLOAT_PIVOT_FLOOR = 1e-12  # scaled by n at use
@@ -54,50 +57,71 @@ class FloatSolution:
     condition_hint: float  # reciprocal pivot-growth estimate
 
 
-def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
-    """Exact Gaussian elimination on [D | n 1] over rationals."""
-    n = D.n
-    A = [[Fraction(x) for x in row] for row in D.row_lists()]
-    b = [Fraction(n)] * n
-    piv_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        # partial pivot: largest magnitude, ties to the lowest row index
-        best_row, best_val = -1, Fraction(0)
-        for i in range(rank, n):
-            a = abs(A[i][col])
-            if a > best_val:
-                best_row, best_val = i, a
-        if best_row < 0:
-            continue
-        if best_row != rank:
-            A[rank], A[best_row] = A[best_row], A[rank]
-            b[rank], b[best_row] = b[best_row], b[rank]
-        piv = A[rank][col]
-        for i in range(rank + 1, n):
-            if A[i][col] != 0:
-                f = A[i][col] / piv
-                row_i, row_p = A[i], A[rank]
-                for j in range(col, n):
-                    row_i[j] -= f * row_p[j]
-                b[i] -= f * b[rank]
-        piv_cols.append(col)
-        rank += 1
-        if rank == n:
-            break
-    for i in range(rank, n):
-        if b[i] != 0:
-            return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)
+def bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int], list[int] | None, int]:
+    """Fraction-free Gaussian elimination of the integer system A x = b.
 
-    w = [Fraction(0)] * n
+    Bareiss (1968): every entry after step k is a (k+1)-minor of [A | b], so
+    each division by the previous pivot is exact and no gcd is taken.
+    Returns (pivot_cols, num, den).  pivot_cols is the column rank profile of
+    A (the columns where the rank grows), which does not depend on the row
+    pivot rule.  num / den, with den > 0, is the solution whose non-pivot
+    variables are zero; num is None when the system is inconsistent.  A and
+    b are not modified.
+    """
+    m = len(A)
+    ncols = len(A[0]) if m else 0
+    R = [row[:] + [bi] for row, bi in zip(A, b)]
+    piv_cols: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        r = len(piv_cols)
+        p = next((i for i in range(r, m) if R[i][col]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        top = R[r][col + 1:]
+        pv = R[r][col]
+        for i in range(r + 1, m):
+            row = R[i]
+            f = row[col]
+            if f:
+                row[col + 1:] = [(pv * x - f * y) // prev for x, y in zip(row[col + 1:], top)]
+            else:
+                row[col + 1:] = [pv * x // prev for x in row[col + 1:]]
+        piv_cols.append(col)
+        prev = pv
+        if len(piv_cols) == m:
+            break
+    rank = len(piv_cols)
+    if any(R[i][ncols] for i in range(rank, m)):
+        return piv_cols, None, 1
+
+    # back substitution over the common denominator det = prev: each
+    # quotient is det * x_c, an integer by Cramer's rule
+    num = [0] * ncols
     for i in range(rank - 1, -1, -1):
-        col = piv_cols[i]
-        s = b[i]
-        row = A[i]
-        for j in range(col + 1, n):
-            if w[j] != 0:
-                s -= row[j] * w[j]
-        w[col] = s / row[col]
+        row = R[i]
+        s = prev * row[ncols] - sum(row[c] * num[c] for c in piv_cols[i + 1:])
+        num[piv_cols[i]] = s // row[piv_cols[i]]
+    if prev < 0:
+        return piv_cols, [-x for x in num], -prev
+    return piv_cols, num, prev
+
+
+def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
+    """Exact solution of D w = n 1 by fraction-free elimination.
+
+    w is returned only after the integer identity D num = n den 1 holds.
+    """
+    n = D.n
+    rows = D.row_lists()
+    piv_cols, num, den = bareiss_solve(rows, [n] * n)
+    rank = len(piv_cols)
+    if num is None:
+        return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)
+    if any(sum(d * x for d, x in zip(row, num)) != n * den for row in rows):
+        raise HardVerificationError("exact solve failed its check D num = n den 1")
+    w = [Fraction(x, den) for x in num]
 
     l1 = sum((abs(x) for x in w), Fraction(0))
     min_entry = min(w)

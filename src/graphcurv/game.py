@@ -2,12 +2,21 @@
 
 One player mixes over vertices with a measure P and collects the worst-case
 expected distance min_u (D P)_u; the opponent mixes over rows.  The game is
-solved by the classic LP reduction in exact rational arithmetic with Bland's
-anti-cycling rule.  D has a zero diagonal, so every payoff is shifted by +1
-before the reduction (making the value strictly positive, as the reduction
-requires) and the shift is subtracted again at the end.
+solved by the classic LP reduction with Bland's anti-cycling rule.  D has a
+zero diagonal, so every payoff is shifted by +1 before the reduction (making
+the value strictly positive, as the reduction requires) and the shift is
+subtracted again at the end.
 
-Both optimality certificates are re-verified before a solution is returned:
+The solve is exact at close to float cost, in the manner of QSopt_ex
+(Applegate, Cook, Dash and Espinoza 2007):
+  1. the Bland simplex runs in float64 and yields only its final basis;
+  2. that basis is solved exactly by fraction-free Bareiss elimination
+     (graphcurv.curvature.bareiss_solve) for the primal and dual vectors;
+  3. the pair must pass the optimality certificates below.
+If any step fails (pivot cap, singular basis, rejected certificate), the
+same simplex runs again in exact rational arithmetic, which is slow but
+always terminates.  Either way, both certificates are re-verified before a
+solution is returned:
     min_u (D . maximin)_u  =  value  =  max_u (D^T . minimax)_u
 exactly, or the solver refuses.
 """
@@ -17,10 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curvature import CurvatureSolution, SolveStatus, curvature_bound, solve_curvature
+import numpy as np
+
+from .curvature import (
+    CurvatureSolution,
+    SolveStatus,
+    bareiss_solve,
+    curvature_bound,
+    solve_curvature,
+)
 from .errors import HardVerificationError
 from .measures import Measure
 from .metric import DistanceMatrix
+from .verifier import transport_vector
+
+FLOAT_TOL = 1e-9  # float tableau entries this close to zero count as zero
+FLOAT_PIVOT_CAP = 20_000  # gnp:80,1/10 and gnp:160,1/20 take about 1,600 pivots
 
 
 @dataclass(frozen=True)
@@ -43,27 +64,38 @@ def game_value(D: DistanceMatrix) -> GameSolution:
     n = D.n
     if n < 1:
         raise ValueError("game needs at least one vertex")
-    rows = D.row_lists()
-    M = [[Fraction(x + 1) for x in row] for row in rows]  # shifted payoffs, all >= 1
+    M = [[x + 1 for x in row] for row in D.row_lists()]  # shifted payoffs, all >= 1
 
-    y, duals = _simplex_bland(M)
+    basis = _float_basis(M)
+    if basis is not None:
+        pair = _basis_pair(M, basis)
+        if pair is not None:
+            try:
+                return _certified(D, *pair)
+            except HardVerificationError:
+                pass  # the exact simplex below decides
+    return _certified(D, *_simplex_bland([[Fraction(x) for x in row] for row in M]))
+
+
+def _certified(D: DistanceMatrix, y: list[Fraction], duals: list[Fraction]) -> GameSolution:
+    """The game solution read off a primal/dual pair of the shifted LP.
+
+    Raises HardVerificationError unless the pair closes and both
+    certificates hold exactly: min_u (D P)_u = value = max_u (D^T Q)_u.
+    """
     total = sum(y)
     if total <= 0 or sum(duals) != total:
         raise HardVerificationError("simplex returned a non-closing primal/dual pair")
+    if min(y) < 0 or min(duals) < 0:
+        raise HardVerificationError("simplex returned a primal/dual pair with a negative entry")
     shifted_value = Fraction(1) / total
     # duals solve min sum x, M^T x >= 1: the column player's (maximin) side
     maximin = Measure(x * shifted_value for x in duals)
     minimax = Measure(x * shifted_value for x in y)
     value = shifted_value - 1
 
-    low = min(
-        sum((Fraction(rows[u][v]) * maximin.p[v] for v in range(n)), Fraction(0))
-        for u in range(n)
-    )
-    high = max(
-        sum((Fraction(rows[v][u]) * minimax.p[v] for v in range(n)), Fraction(0))
-        for u in range(n)
-    )
+    low = transport_vector(D, maximin).A
+    high = transport_vector(D, minimax).B  # D is symmetric, so D^T Q = D Q
     if low != value or high != value:
         raise HardVerificationError(
             f"game certificates do not close: min(D P) = {low}, value = {value}, "
@@ -72,8 +104,14 @@ def game_value(D: DistanceMatrix) -> GameSolution:
     return GameSolution(value=value, maximin_strategy=maximin, minimax_strategy=minimax)
 
 
-def game_vs_curvature(D: DistanceMatrix, sol: CurvatureSolution | None = None) -> GameCurvatureComparison:
+def game_vs_curvature(
+    D: DistanceMatrix,
+    sol: CurvatureSolution | None = None,
+    game: GameSolution | None = None,
+) -> GameCurvatureComparison:
     """Compare the game value with K = n/||w||_1.
+
+    `sol` and `game` are solved from D when not given.
 
     When w is non-negative the minimax sandwich forces value = K exactly, so
     any difference is a hard error.  For signed w the upper bound still pins
@@ -85,7 +123,7 @@ def game_vs_curvature(D: DistanceMatrix, sol: CurvatureSolution | None = None) -
     if sol.status is not SolveStatus.UNIQUE:
         raise ValueError(f"comparison needs a unique curvature solution, got {sol.status.value}")
     K = curvature_bound(sol, D.n)
-    value = game_value(D).value
+    value = (game if game is not None else game_value(D)).value
     equal = value == K
     if sol.nonneg and not equal:
         raise HardVerificationError(
@@ -141,4 +179,71 @@ def _simplex_bland(M: list[list[Fraction]]) -> tuple[list[Fraction], list[Fracti
         if bi < n:
             y[bi] = T[i][2 * n]
     duals = [-cost[n + i] for i in range(n)]
+    return y, duals
+
+
+def _float_basis(M: list[list[int]]) -> list[int] | None:
+    """Final basis of `_simplex_bland`'s pivot sequence, replayed in float64.
+
+    Same tableau, same entering and leaving rules.  A reduced cost or pivot
+    column entry within FLOAT_TOL of zero counts as zero, and ratios within
+    FLOAT_TOL of the least one tie and go to the lowest basis index, as in
+    the exact path.  Returns None after FLOAT_PIVOT_CAP pivots, or when no
+    row can leave.  Nothing here is trusted: the caller solves the basis
+    exactly and certifies it.
+    """
+    n = len(M)
+    T = np.zeros((n, 2 * n + 1))
+    T[:, :n] = M
+    T[:, n:2 * n] = np.eye(n)
+    T[:, 2 * n] = 1.0
+    cost = np.zeros(2 * n + 1)
+    cost[:n] = 1.0
+    basis = np.arange(n, 2 * n)
+    for _ in range(FLOAT_PIVOT_CAP):
+        entering = np.flatnonzero(cost[:2 * n] > FLOAT_TOL)
+        if entering.size == 0:
+            return basis.tolist()
+        enter = entering[0]
+        rows = np.flatnonzero(T[:, enter] > FLOAT_TOL)
+        if rows.size == 0:
+            return None
+        ratios = T[rows, 2 * n] / T[rows, enter]
+        best = ratios.min()
+        tied = rows[ratios <= best + FLOAT_TOL * max(1.0, best)]
+        leave = tied[np.argmin(basis[tied])]
+        T[leave] /= T[leave, enter]
+        f = T[:, enter].copy()
+        f[leave] = 0.0
+        T -= np.outer(f, T[leave])
+        cost -= cost[enter] * T[leave]
+        basis[leave] = enter
+    return None
+
+
+def _basis_pair(
+    M: list[list[int]], basis: list[int]
+) -> tuple[list[Fraction], list[Fraction]] | None:
+    """Exact primal y and duals of a basis of `_simplex_bland`'s tableau.
+
+    They solve B z = 1 and B^T pi = c_B.  A basic slack s has z on its own
+    row and pi_s = 0, so both reduce to the square system on the basic y
+    columns Y and the rows R without a basic slack: M[R, Y] y_Y = 1 and
+    M[R, Y]^T pi_R = 1.  Returns None when that system is singular.
+    """
+    n = len(M)
+    cols = [j for j in basis if j < n]
+    slack_rows = {j - n for j in basis if j >= n}
+    rows = [i for i in range(n) if i not in slack_rows]
+    B = [[M[i][j] for j in cols] for i in rows]
+    piv, z, den = bareiss_solve(B, [1] * len(rows))
+    if len(piv) < len(cols):
+        return None
+    _, pi, pi_den = bareiss_solve([list(c) for c in zip(*B)], [1] * len(cols))
+    y = [Fraction(0)] * n
+    for j, zj in zip(cols, z):
+        y[j] = Fraction(zj, den)
+    duals = [Fraction(0)] * n
+    for i, pj in zip(rows, pi):
+        duals[i] = Fraction(pj, pi_den)
     return y, duals

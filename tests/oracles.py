@@ -1,7 +1,8 @@
 """Independent reference implementations used only by tests.
 
 These deliberately take different algorithmic routes than the library
-(Floyd-Warshall instead of BFS, dense float LP instead of exact simplex) so
+(Floyd-Warshall instead of BFS, dense float LP instead of exact simplex,
+Gaussian elimination over Fractions instead of fraction-free Bareiss) so
 agreement is meaningful.
 """
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from graphcurv import Graph
+from graphcurv import DistanceMatrix, Graph, SolveStatus
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:
@@ -71,3 +72,56 @@ def _det(A: list[list[Fraction]]) -> Fraction:
         minor = [row[:j] + row[j + 1:] for row in A[1:]]
         total += (-1) ** j * A[0][j] * _det(minor)
     return total
+
+
+def solve_curvature_fraction(
+    D: DistanceMatrix,
+) -> tuple[SolveStatus, int, tuple[Fraction, ...] | None]:
+    """(status, nullity, w) of D w = n 1 by Gaussian elimination over Fractions.
+
+    Partial pivoting by largest magnitude, ties to the lowest row index; w is
+    the particular solution with every free variable zero.  This was the
+    library's exact solver before the fraction-free one replaced it.
+    """
+    n = D.n
+    A = [[Fraction(x) for x in row] for row in D.row_lists()]
+    b = [Fraction(n)] * n
+    piv_cols: list[int] = []
+    rank = 0
+    for col in range(n):
+        best_row, best_val = -1, Fraction(0)
+        for i in range(rank, n):
+            a = abs(A[i][col])
+            if a > best_val:
+                best_row, best_val = i, a
+        if best_row < 0:
+            continue
+        if best_row != rank:
+            A[rank], A[best_row] = A[best_row], A[rank]
+            b[rank], b[best_row] = b[best_row], b[rank]
+        piv = A[rank][col]
+        for i in range(rank + 1, n):
+            if A[i][col] != 0:
+                f = A[i][col] / piv
+                row_i, row_p = A[i], A[rank]
+                for j in range(col, n):
+                    row_i[j] -= f * row_p[j]
+                b[i] -= f * b[rank]
+        piv_cols.append(col)
+        rank += 1
+        if rank == n:
+            break
+    if any(b[i] != 0 for i in range(rank, n)):
+        return SolveStatus.INCONSISTENT, n - rank, None
+
+    w = [Fraction(0)] * n
+    for i in range(rank - 1, -1, -1):
+        col = piv_cols[i]
+        s = b[i]
+        row = A[i]
+        for j in range(col + 1, n):
+            if w[j] != 0:
+                s -= row[j] * w[j]
+        w[col] = s / row[col]
+    status = SolveStatus.UNIQUE if rank == n else SolveStatus.UNDERDETERMINED
+    return status, n - rank, tuple(w)

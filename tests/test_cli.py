@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import graphcurv
 from graphcurv import cli, parse_edge_list, path, serialize, star
 
 
@@ -167,3 +172,32 @@ class TestExitCodes:
     def test_inconsistent_verify(self, capsys):
         code, _, _ = run(capsys, "verify", "--input", "complete:1")
         assert code == 4
+
+
+# (command, spec, seed) -> tests/data/<command>_<spec>_seed<seed>.json, the
+# JSON output of the Fraction-elimination and Bland-simplex implementation
+GOLDEN_CASES = [
+    (command, spec, seed)
+    for spec, seed in [("star:6", 0), ("path:7", 0), ("cycle:8", 0), ("hypercube:3", 0),
+                       ("grid:3,4", 0), ("gnp:12,1/3", 5)]
+    for command in ("report", "game")
+]
+
+
+@pytest.mark.parametrize("command,spec,seed", GOLDEN_CASES)
+def test_output_matches_golden(capsys, command, spec, seed):
+    name = f"{command}_{spec.replace(':', '_').replace(',', '_').replace('/', '-')}_seed{seed}.json"
+    expected = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    code, out, err = run(capsys, command, "--input", spec, "--seed", str(seed), "--format", "json")
+    assert code == 0, err
+    assert out == expected
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    src = Path(graphcurv.__file__).resolve().parent.parent
+    path_entries = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    probe = "import sys, graphcurv.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout.strip() == "False"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcurv import (
     InconsistentSystemError,
@@ -12,6 +13,7 @@ from graphcurv import (
     curvature_bound,
     cycle,
     gnp,
+    grid,
     hypercube,
     path,
     solve_curvature,
@@ -19,7 +21,8 @@ from graphcurv import (
     star,
     transitive_oracle,
 )
-from oracles import solve_system_fraction_lstsq
+from graphcurv.curvature import bareiss_solve
+from oracles import solve_curvature_fraction, solve_system_fraction_lstsq
 
 
 def solved(g):
@@ -179,3 +182,51 @@ class TestFloatSolver:
             fs = solve_curvature_float(D)
             exact = np.array([float(x) for x in sol.w])
             assert np.abs(fs.w - exact).max() <= 1e-9, g
+
+
+class TestBareissAgainstFractionOracle:
+    """The fraction-free solver against the Fraction elimination it replaced."""
+
+    @staticmethod
+    def assert_agrees(g):
+        D = apsp(g)
+        sol = solve_curvature(D)
+        assert (sol.status, sol.nullity, sol.w) == solve_curvature_fraction(D), g
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 16),
+           p=st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(3, 4)]),
+           seed=st.integers(0, 10**6))
+    def test_random_gnp(self, n, p, seed):
+        self.assert_agrees(gnp(n, p, seed)[0])
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(n) for n in (4, 6, 8, 10, 12, 16)]
+        + [hypercube(d) for d in range(1, 6)]
+        + [grid(a, b) for a, b in [(2, 2), (2, 5), (3, 3), (3, 4), (4, 6), (5, 6)]],
+    )
+    def test_underdetermined_families(self, g):
+        self.assert_agrees(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda rows: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                 min_size=rows, max_size=rows),
+        st.lists(st.integers(-3, 3), min_size=rows, max_size=rows),
+        st.integers(1, 5))))
+    def test_kernel_on_integer_systems(self, system):
+        # A is made low-rank by repeating a combination of its own rows, so
+        # skipped pivot columns and inconsistent right-hand sides both occur
+        A, b, k = system
+        A = A + [[k * x + y for x, y in zip(A[0], A[-1])]]
+        b = b + [k * b[0] + b[-1] + (k % 2)]
+        piv_cols, num, den = bareiss_solve(A, b)
+        ranks = [np.linalg.matrix_rank(np.array(A)[:, :c]) if c else 0 for c in range(6)]
+        assert piv_cols == [c for c in range(5) if ranks[c + 1] > ranks[c]]
+        consistent = np.linalg.matrix_rank(np.column_stack([A, b])) == ranks[5]
+        assert (num is not None) == consistent
+        if consistent:
+            assert den > 0
+            assert all(num[c] == 0 for c in range(5) if c not in piv_cols)
+            assert all(sum(a * x for a, x in zip(row, num)) == den * bi for row, bi in zip(A, b))

@@ -15,6 +15,7 @@ from graphcurv import (
     gnp,
     hypercube,
     measure_uniform,
+    parse_generator_spec,
     path,
     solve_curvature,
     star,
@@ -22,6 +23,7 @@ from graphcurv import (
     transport_vector,
     verify_minimax,
 )
+from graphcurv import game
 from oracles import game_value_float
 
 
@@ -135,3 +137,73 @@ class TestCurvatureComparison:
             assert transport_vector(D, gsol.maximin_strategy).A == gsol.value > K
             report = verify_minimax(D, sol, [("maximin", gsol.maximin_strategy)])
             assert report.lower_failures == 1
+
+
+def bland_only(D, monkeypatch):
+    """game_value with the float basis finder switched off: the exact Bland path."""
+    with monkeypatch.context() as m:
+        m.setattr(game, "_float_basis", lambda M: None)
+        return game_value(D)
+
+
+class TestCertifiedBasisAgainstBland:
+    """The certified float basis against the exact simplex it short-cuts."""
+
+    REPORT_SMALL_FAMILIES = ["hypercube:5", "cycle:39", "grid:5,8", "star:40", "path:40",
+                             "cycle:40", "complete:40"]
+
+    @pytest.mark.parametrize("spec", REPORT_SMALL_FAMILIES
+                             + [f"gnp:{n},1/4" for n in (20, 22, 24, 26)])
+    def test_report_families(self, spec, monkeypatch):
+        D = apsp(parse_generator_spec(spec, seed=1))
+        assert game_value(D) == bland_only(D, monkeypatch)
+
+    def test_gnp_seeds(self, monkeypatch):
+        for seed in range(100):
+            g, _ = gnp(4 + seed % 13, Fraction(1, 2 + seed % 3), seed)
+            D = apsp(g)
+            assert game_value(D) == bland_only(D, monkeypatch), seed
+
+
+class TestForcedFallback:
+    """Any basis the exact checks reject hands over to the Bland simplex."""
+
+    @pytest.mark.parametrize("basis", [
+        lambda n: None,                        # pivot cap reached
+        lambda n: list(range(n, 2 * n)),       # the slack basis: feasible, not optimal
+        lambda n: [0] + list(range(n + 1, 2 * n)),  # y_0 basic: min(D P) = 0 < max(D^T Q)
+        lambda n: list(range(n)),              # all y columns: D + 1 is singular on Q3
+    ])
+    def test_fallback_returns_bland_answer(self, basis, monkeypatch):
+        D = apsp(hypercube(3))
+        expected = bland_only(D, monkeypatch)
+        calls = []
+        simplex = game._simplex_bland
+
+        def counted(M):
+            calls.append(len(M))
+            return simplex(M)
+
+        monkeypatch.setattr(game, "_float_basis", lambda M: basis(len(M)))
+        monkeypatch.setattr(game, "_simplex_bland", counted)
+        assert game_value(D) == expected
+        assert calls == [8]
+
+    def test_singular_basis_is_detected(self):
+        D = apsp(hypercube(3))
+        M = [[x + 1 for x in row] for row in D.row_lists()]
+        assert game._basis_pair(M, list(range(8))) is None
+
+    def test_pivot_cap(self, monkeypatch):
+        M = [[x + 1 for x in row] for row in apsp(path(6)).row_lists()]
+        assert game._float_basis(M) is not None
+        monkeypatch.setattr(game, "FLOAT_PIVOT_CAP", 1)
+        assert game._float_basis(M) is None
+
+
+def test_comparison_reuses_given_game_solution(monkeypatch):
+    D = apsp(star(5))
+    gsol = game_value(D)
+    monkeypatch.setattr(game, "game_value", lambda D: pytest.fail("game solved twice"))
+    rec = game_vs_curvature(D, solve_curvature(D), gsol)
+    assert rec.value == gsol.value

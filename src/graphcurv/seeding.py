@@ -21,18 +21,11 @@ def mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK
 
 
-def counter_value(seed: int, *counters: int) -> int:
-    """Uniform 64-bit value for a (seed, counter...) tuple."""
-    x = mix64(seed)
-    for c in counters:
-        x = mix64((x + _GOLDEN + c) & _MASK)
-    return x
-
-
 def counter_values_np(seed: int, counters: np.ndarray, *prefix: int) -> np.ndarray:
-    """Vectorized :func:`counter_value` over a uint64 counter array.
+    """Uniform 64-bit values for the tuples (seed, *prefix, c), c in counters.
 
-    Equivalent to ``[counter_value(seed, *prefix, int(c)) for c in counters]``.
+    The seed is mixed, then each counter in turn is added with the golden
+    gamma and mixed again; the last counter runs vectorized over the array.
     """
     x = mix64(seed)
     for c in prefix:

@@ -7,7 +7,9 @@ is no tolerance anywhere in this module.
 
 The inner-product identity <w, D P> = n is what makes the sandwich work:
 n = <n 1, P> = <D w, P> = <w, D P>, which lies between A ||w||_1 and
-B ||w||_1 when w is non-negative, and below B ||w||_1 always.
+B ||w||_1 when w is non-negative, and below B ||w||_1 always.  For signed w
+a measure with A > K may exist; graphcurv.game.search_lower_violation reads
+one off the matrix game.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from .curvature import CurvatureSolution, SolveStatus, curvature_bound
 from .errors import HardVerificationError, InconsistentSystemError
 from .measures import Measure, measure_delta, measure_uniform, measure_uniform_on, sample_measures
 from .metric import DistanceMatrix
 
-SUBSET_SEARCH_MAX_SIZE = 12
+INT64_MAX = (1 << 63) - 1
 BATTERY_PAIR_LIMIT = 12  # include pair-uniform measures in the battery up to this n
 
 
@@ -59,17 +63,25 @@ class VerificationReport:
 
 
 def transport_vector(D: DistanceMatrix, P: Measure) -> TransportBounds:
-    """D P computed exactly, with min/max and their lowest attaining indices."""
+    """D P computed exactly, with min/max and their lowest attaining indices.
+
+    With P = q / den for integers q >= 0 summing to den, D P = (D q) / den.
+    Every entry of D q is at most max(D) * den, and every entry of q at most
+    den, so D q is one int64 product when both fit, and a product on Python
+    ints otherwise.
+    """
     if P.n != D.n:
         raise ValueError(f"dimension mismatch: measure on {P.n} vertices, matrix is {D.n}x{D.n}")
-    den = lcm(*(x.denominator for x in P.p)) if D.n > 1 else P.p[0].denominator
-    q = [int(x * den) for x in P.p]
-    rows = D.row_lists()
-    dp = tuple(
-        Fraction(sum(d * qv for d, qv in zip(row, q) if qv), den) for row in rows
-    )
-    A, B = min(dp), max(dp)
-    return TransportBounds(dp=dp, A=A, B=B, argmin=dp.index(A), argmax=dp.index(B))
+    den = lcm(*(x.denominator for x in P.p))
+    q = [x.numerator * (den // x.denominator) for x in P.p]
+    if max(int(D.entries.max()), 1) * den <= INT64_MAX:
+        num = (D.entries @ np.array(q, dtype=np.int64)).tolist()
+    else:
+        num = (D.entries.astype(object) @ np.array(q, dtype=object)).tolist()
+    lo, hi = min(num), max(num)
+    dp = tuple(Fraction(x, den) for x in num)
+    return TransportBounds(dp=dp, A=Fraction(lo, den), B=Fraction(hi, den),
+                           argmin=num.index(lo), argmax=num.index(hi))
 
 
 def identity_check(w: Sequence[Fraction], D: DistanceMatrix, P: Measure) -> Fraction:
@@ -154,48 +166,3 @@ def verify_minimax(
         nonneg=sol.nonneg,
         findings=tuple(findings),
     )
-
-
-def search_lower_violation(
-    D: DistanceMatrix,
-    sol: CurvatureSolution,
-    budget: int = 100,
-    seed: int = 0,
-) -> Measure | None:
-    """First measure P with A(P) > K under a fixed deterministic search order.
-
-    Order: deltas by vertex index, uniform measures on subsets of size 2 up
-    to min(n, 12) in (size, lexicographic) order, then `budget` seeded random
-    samples.  For non-negative w the theorem rules a witness out, so finding
-    one is a hard error.
-    """
-    if sol.status is not SolveStatus.UNIQUE and sol.status is not SolveStatus.UNDERDETERMINED:
-        raise InconsistentSystemError("no curvature vector to search against")
-    K = curvature_bound(sol, D.n)
-
-    def check(mu: Measure) -> bool:
-        return transport_vector(D, mu).A > K
-
-    candidates = (measure_delta(D.n, v) for v in range(D.n))
-    witness = _first_violation(candidates, check)
-    if witness is None:
-        subsets = (
-            measure_uniform_on(D.n, comb)
-            for size in range(2, min(D.n, SUBSET_SEARCH_MAX_SIZE) + 1)
-            for comb in itertools.combinations(range(D.n), size)
-        )
-        witness = _first_violation(subsets, check)
-    if witness is None and budget > 0:
-        witness = _first_violation(iter(sample_measures(D.n, budget, seed)), check)
-    if witness is not None and sol.nonneg:
-        raise HardVerificationError(
-            f"found lower-bound witness {witness} although min w >= 0; solver or verifier is wrong"
-        )
-    return witness
-
-
-def _first_violation(candidates, check) -> Measure | None:
-    for mu in candidates:
-        if check(mu):
-            return mu
-    return None

@@ -2,18 +2,24 @@
 
 These deliberately take different algorithmic routes than the library
 (Floyd-Warshall instead of BFS, dense float LP instead of exact simplex,
-Gaussian elimination over Fractions instead of fraction-free Bareiss) so
-agreement is meaningful.
+Gaussian elimination over Fractions instead of fraction-free Bareiss, row
+sums in Python instead of one matrix product, scalar instead of vectorized
+SplitMix) so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 from scipy.optimize import linprog
 
-from graphcurv import DistanceMatrix, Graph, SolveStatus
+from graphcurv import DistanceMatrix, Graph, Measure, SolveStatus
+from graphcurv.seeding import mix64
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:
@@ -27,6 +33,31 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
     return dist
+
+
+def transport_vector_rowsum(D: DistanceMatrix, P: Measure) -> tuple[Fraction, ...]:
+    """D P by one Python row sum per vertex over a common denominator.
+
+    This was the library's transport vector before the matrix product
+    replaced it.
+    """
+    den = lcm(*(x.denominator for x in P.p))
+    q = [int(x * den) for x in P.p]
+    return tuple(
+        Fraction(sum(d * qv for d, qv in zip(row, q) if qv), den) for row in D.row_lists()
+    )
+
+
+def counter_value(seed: int, *counters: int) -> int:
+    """Scalar SplitMix64 value for a (seed, counter...) tuple.
+
+    This was the library's per-entry generator before the vectorized
+    `graphcurv.seeding.counter_values_np` replaced it.
+    """
+    x = mix64(seed)
+    for c in counters:
+        x = mix64((x + _GOLDEN + c) & _MASK)
+    return x
 
 
 def game_value_float(D: np.ndarray) -> float:

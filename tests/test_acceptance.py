@@ -143,7 +143,7 @@ def test_criterion_4_upper_bound_beyond_nonneg():
             if not K <= transport_vector(D, mu).B:
                 failures.append(f"star({n}): upper bound failed")
                 break
-        witness = search_lower_violation(D, sol, budget=BATTERY_SAMPLES, seed=BATTERY_SEED)
+        witness = search_lower_violation(D, sol)
         if witness is None or not transport_vector(D, witness).A > K:
             failures.append(f"star({n}): no lower-bound witness found")
     # hand fixture: on star(4) the leaf-uniform measure violates the lower bound

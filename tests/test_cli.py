@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -108,6 +109,11 @@ class TestVerify:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_zero_samples(self, capsys, schema):
+        doc = run_json(capsys, schema, "verify", "--input", "path:4", "--samples", "0")
+        assert doc["samples"] == 0
+        assert doc["summary"]["measures_checked"] == 4 + 1 + 6
+
 
 class TestGame:
     def test_star4(self, capsys, schema):
@@ -149,6 +155,22 @@ class TestReport:
         assert code == 0
         assert "K = 3/4" in out
 
+    @pytest.mark.parametrize("spec,seed", [
+        ("star:6", 0), ("hypercube:3", 0), ("grid:3,4", 0), ("cycle:8", 0), ("path:7", 0),
+        ("gnp:12,1/3", 5), ("gnp:10,1/2", 1), ("gnp:14,1/4", 2),
+    ])
+    def test_witness_is_maximin_strategy(self, capsys, schema, spec, seed):
+        doc = run_json(capsys, schema, "report", "--input", spec, "--seed", str(seed),
+                       "--samples", "5")
+        witness = doc["verification"]["lower_violation_witness"]
+        if doc["curvature"]["nonneg"]:
+            assert witness is None
+            return
+        value, K = Fraction(doc["game"]["value"]), Fraction(doc["curvature"]["bound_K"])
+        assert (witness is not None) == (value > K)
+        if witness is not None:
+            assert witness == doc["game"]["maximin_strategy"]
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -173,9 +195,18 @@ class TestExitCodes:
         code, _, _ = run(capsys, "verify", "--input", "complete:1")
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_negative_samples(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--input", "path:4", "--samples", "-3"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 # (command, spec, seed) -> tests/data/<command>_<spec>_seed<seed>.json, the
-# JSON output of the Fraction-elimination and Bland-simplex implementation
+# JSON output of the Fraction-elimination and Bland-simplex implementation,
+# except lower_violation_witness in the hypercube:3 and gnp:12,1/3 reports,
+# which is the game's maximin strategy
 GOLDEN_CASES = [
     (command, spec, seed)
     for spec, seed in [("star:6", 0), ("path:7", 0), ("cycle:8", 0), ("hypercube:3", 0),

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphcurv import (
@@ -9,6 +10,9 @@ from graphcurv import (
     measure_uniform_on,
     sample_measures,
 )
+from graphcurv.measures import SAMPLE_WEIGHT_BITS
+from graphcurv.seeding import counter_values_np
+from oracles import counter_value
 
 
 class TestConstruction:
@@ -80,3 +84,24 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_measures(3, 0, 0)
+
+    def test_matches_scalar_generator(self):
+        for n, count, seed in [(1, 3, 0), (7, 5, 11), (40, 4, 2 ** 64 - 1)]:
+            for i, mu in enumerate(sample_measures(n, count, seed)):
+                weights = [1 + counter_value(seed, i, j) % (1 << SAMPLE_WEIGHT_BITS)
+                           for j in range(n)]
+                assert mu.p == tuple(Fraction(x, sum(weights)) for x in weights)
+
+
+class TestCounterValues:
+    def test_splitmix64_reference_value(self):
+        # the first SplitMix64 output from state 0
+        assert int(counter_values_np(0, np.arange(1))[0]) == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("seed,prefix,n", [
+        (0, (), 5), (0, (3,), 17), (42, (0,), 120), (2 ** 64 - 1, (7,), 9),
+        (12345, (1, 2), 33), (2 ** 63, (2 ** 40,), 64),
+    ])
+    def test_bit_identical_to_scalar(self, seed, prefix, n):
+        got = counter_values_np(seed, np.arange(n), *prefix).tolist()
+        assert got == [counter_value(seed, *prefix, j) for j in range(n)]

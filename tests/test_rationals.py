@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from graphcurv.rationals import parse_ratio, rational_from, rational_str, to_float
+from graphcurv.rationals import parse_ratio, rational_from, rational_str
 
 nonzero_ints = st.integers(min_value=-10**9, max_value=10**9).filter(lambda x: x != 0)
 rationals = st.builds(rational_from, st.integers(-10**6, 10**6), nonzero_ints)
@@ -26,12 +26,6 @@ def test_floats_rejected():
         rational_from(0.5, 1)
     with pytest.raises(TypeError):
         rational_from(1, 2.0)
-
-
-def test_to_float():
-    assert to_float(rational_from(1, 2)) == 0.5
-    assert to_float(rational_from(4, 3)) == 4 / 3
-    assert to_float(rational_from(-4, 3)) == -4 / 3
 
 
 def test_rational_str():

@@ -6,12 +6,14 @@ import pytest
 from graphcurv import (
     HardVerificationError,
     InconsistentSystemError,
+    Measure,
     SolveStatus,
     apsp,
     complete,
     curvature_bound,
     cycle,
     eccentricities,
+    game_value,
     gnp,
     hypercube,
     identity_check,
@@ -28,6 +30,8 @@ from graphcurv import (
     transport_vector,
     verify_minimax,
 )
+from graphcurv import game
+from oracles import transport_vector_rowsum
 
 
 def solved(g):
@@ -69,6 +73,27 @@ class TestTransport:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             transport_vector(apsp(path(3)), measure_uniform(4))
+
+    def test_matches_row_sums_over_battery(self):
+        graphs = small_families() + [gnp(30, Fraction(1, 5), 2)[0], path(40)]
+        for g in graphs:
+            D = apsp(g)
+            for _, mu in measure_battery(g.n, samples=20, seed=5):
+                tb = transport_vector(D, mu)
+                dp = transport_vector_rowsum(D, mu)
+                assert tb.dp == dp, g
+                assert (tb.A, tb.B) == (min(dp), max(dp))
+                assert (tb.argmin, tb.argmax) == (dp.index(tb.A), dp.index(tb.B))
+
+    def test_denominators_beyond_int64(self):
+        # a common denominator above 2^63 takes the Python-int product
+        D = apsp(path(6))
+        tiny = Fraction(1, 2 ** 70 + 1)
+        mu = Measure([tiny, Fraction(1, 3), Fraction(0), 1 - tiny - Fraction(1, 3) - Fraction(1, 7),
+                      Fraction(1, 7), Fraction(0)])
+        tb = transport_vector(D, mu)
+        assert tb.dp == transport_vector_rowsum(D, mu)
+        assert max(x.denominator for x in tb.dp) > 2 ** 63
 
 
 class TestIdentity:
@@ -170,11 +195,52 @@ class TestSearchLowerViolation:
     def test_complete_family_empty(self):
         for n in range(2, 9):
             D, sol = solved(complete(n))
-            assert search_lower_violation(D, sol, budget=20) is None
+            assert search_lower_violation(D, sol) is None
 
     def test_deterministic(self):
         D, sol = solved(star(6))
         assert search_lower_violation(D, sol) == search_lower_violation(D, sol)
+
+    def test_witness_exactly_when_value_exceeds_K(self):
+        graphs = small_families()
+        graphs += [gnp(4 + seed % 13, Fraction(1, 2 + seed % 3), seed)[0] for seed in range(100)]
+        witnesses = 0
+        for g in graphs:
+            D, sol = solved(g)
+            if sol.status is SolveStatus.INCONSISTENT:
+                continue
+            value = game_value(D).value
+            K = curvature_bound(sol, g.n)
+            if sol.nonneg:
+                assert value <= K, g
+                assert search_lower_violation(D, sol) is None, g
+                continue
+            witness = search_lower_violation(D, sol)
+            assert (witness is not None) == (value > K), g
+            if witness is not None:
+                witnesses += 1
+                assert transport_vector(D, witness).A == value > K, g
+            else:
+                battery = measure_battery(g.n, samples=10, seed=1)
+                assert verify_minimax(D, sol, battery).lower_failures == 0, g
+        assert witnesses > 0
+
+    def test_given_game_is_not_solved_again(self, monkeypatch):
+        D, sol = solved(star(5))
+        gsol = game_value(D)
+        monkeypatch.setattr(game, "game_value", lambda D: pytest.fail("game solved twice"))
+        assert search_lower_violation(D, sol, gsol) == gsol.maximin_strategy
+
+    def test_forged_nonneg_flag_is_hard_error(self):
+        D, sol = solved(star(4))
+        forged = dataclasses.replace(sol, nonneg=True)
+        with pytest.raises(HardVerificationError, match="lower-bound witness"):
+            search_lower_violation(D, forged)
+
+    def test_inconsistent_refused(self):
+        D, sol = solved(complete(1))
+        with pytest.raises(InconsistentSystemError):
+            search_lower_violation(D, sol)
 
 
 class TestBoundConsequences:

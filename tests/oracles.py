@@ -4,7 +4,9 @@ These deliberately take different algorithmic routes than the library
 (Floyd-Warshall instead of BFS, dense float LP instead of exact simplex,
 Gaussian elimination over Fractions instead of fraction-free Bareiss, row
 sums in Python instead of one matrix product, scalar instead of vectorized
-SplitMix) so agreement is meaningful.
+SplitMix, one Fraction per measure entry instead of integer numerators over
+one denominator, one transport vector per measure instead of one product per
+block of measures) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -15,8 +17,21 @@ from math import lcm
 import numpy as np
 from scipy.optimize import linprog
 
-from graphcurv import DistanceMatrix, Graph, Measure, SolveStatus
-from graphcurv.seeding import mix64
+from graphcurv import (
+    CurvatureSolution,
+    DistanceMatrix,
+    Graph,
+    HardVerificationError,
+    Measure,
+    MeasureRecord,
+    SolveStatus,
+    VerificationReport,
+    curvature_bound,
+    transport_vector,
+)
+from graphcurv.measures import SAMPLE_WEIGHT_BITS
+from graphcurv.seeding import counter_values_np, mix64
+from graphcurv.verifier import BATTERY_PAIR_LIMIT
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,6 +60,102 @@ def transport_vector_rowsum(D: DistanceMatrix, P: Measure) -> tuple[Fraction, ..
     q = [int(x * den) for x in P.p]
     return tuple(
         Fraction(sum(d * qv for d, qv in zip(row, q) if qv), den) for row in D.row_lists()
+    )
+
+
+def measure_fraction(entries) -> tuple[Fraction, ...]:
+    """A probability vector as one Fraction per entry, checked entry by entry.
+
+    This was the library's `Measure` before integer numerators over one
+    denominator replaced it.
+    """
+    p = tuple(Fraction(x) for x in entries)
+    if not p:
+        raise ValueError("measure needs at least one entry")
+    if any(x < 0 for x in p):
+        raise ValueError("measure entries must be non-negative")
+    if sum(p) != 1:
+        raise ValueError("measure entries must sum to exactly 1")
+    return p
+
+
+def sample_measures_fraction(n: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
+    """`graphcurv.sample_measures` as it was built on `measure_fraction`."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    out = []
+    vertices = np.arange(n)
+    for i in range(count):
+        weights = (1 + counter_values_np(seed, vertices, i) % (1 << SAMPLE_WEIGHT_BITS)).tolist()
+        total = sum(weights)
+        out.append(measure_fraction(Fraction(wj, total) for wj in weights))
+    return out
+
+
+def measure_battery_fraction(
+    n: int, samples: int, seed: int
+) -> list[tuple[str, tuple[Fraction, ...]]]:
+    """`graphcurv.measure_battery` as it was built on `measure_fraction`."""
+    battery = [(f"delta:{v}", measure_fraction(Fraction(int(i == v)) for i in range(n)))
+               for v in range(n)]
+    battery.append(("uniform", measure_fraction(Fraction(1, n) for _ in range(n))))
+    if n <= BATTERY_PAIR_LIMIT:
+        for u in range(n):
+            for v in range(u + 1, n):
+                battery.append((f"uniform_on:{u},{v}", measure_fraction(
+                    Fraction(1, 2) if i in (u, v) else Fraction(0) for i in range(n))))
+    if samples > 0:
+        for i, p in enumerate(sample_measures_fraction(n, samples, seed)):
+            battery.append((f"sample:{i}", p))
+    return battery
+
+
+def verify_minimax_per_measure(
+    D: DistanceMatrix,
+    sol: CurvatureSolution,
+    measures: list[tuple[str, Measure]],
+) -> VerificationReport:
+    """The sandwich check with one `transport_vector` call per measure.
+
+    This was `graphcurv.verify_minimax` before one product per block of
+    measures replaced it.
+    """
+    K = curvature_bound(sol, D.n)
+    records = []
+    findings = []
+    lower_failures = 0
+    for descriptor, mu in measures:
+        tb = transport_vector(D, mu)
+        lower = tb.A <= K
+        upper = K <= tb.B
+        if not upper:
+            raise HardVerificationError(
+                f"upper bound failed for {descriptor}: K = {K} > B = {tb.B}; "
+                "this contradicts the identity <w, DP> = n"
+            )
+        if not lower:
+            if sol.nonneg:
+                raise HardVerificationError(
+                    f"lower bound failed for {descriptor} although min w >= 0: "
+                    f"A = {tb.A} > K = {K}"
+                )
+            lower_failures += 1
+            findings.append(
+                f"lower bound fails for {descriptor}: A = {tb.A} > K = {K} "
+                "(allowed: w has a negative entry)"
+            )
+        records.append(MeasureRecord(
+            descriptor=descriptor, A=tb.A, B=tb.B, K=K,
+            lower_holds=lower, upper_holds=upper,
+            lower_tight=(tb.A == K), upper_tight=(K == tb.B),
+        ))
+    return VerificationReport(
+        records=tuple(records),
+        measures_checked=len(records),
+        lower_failures=lower_failures,
+        upper_failures=0,
+        nonneg=sol.nonneg,
+        findings=tuple(findings),
     )
 
 

@@ -12,7 +12,7 @@ from graphcurv import (
 )
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np
-from oracles import counter_value
+from oracles import counter_value, measure_fraction, sample_measures_fraction
 
 
 class TestConstruction:
@@ -30,6 +30,41 @@ class TestConstruction:
 
     def test_support(self):
         assert measure_uniform_on(5, {1, 3}).support() == (1, 3)
+
+    def test_integer_numerators_over_one_reduced_denominator(self):
+        mu = Measure([Fraction(1, 6), Fraction(1, 3), Fraction(0), Fraction(1, 2)])
+        assert (mu.q, mu.den) == ((1, 2, 0, 3), 6)
+        assert mu.p == (Fraction(1, 6), Fraction(1, 3), 0, Fraction(1, 2))
+        assert Measure.from_weights([0, 4, 2]).q == (0, 2, 1)
+        assert Measure.from_weights([0, 4, 2]).den == 3
+
+
+class TestFromWeights:
+    @pytest.mark.parametrize("entries,weights", [
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [3, 2, 1]),
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [300, 200, 100]),
+        ([0, 1, 0], [0, 7, 0]),
+        ([Fraction(1, 4)] * 4, [2 ** 70] * 4),
+        ([Fraction(1, 3), 0, Fraction(2, 3)], [5, 0, 10]),
+    ])
+    def test_equal_to_rational_construction(self, entries, weights):
+        a, b = Measure(entries), Measure.from_weights(weights)
+        assert a == b and hash(a) == hash(b)
+        assert b.p == measure_fraction(entries)
+
+    def test_scalings_are_equal(self):
+        a, b = Measure.from_weights([1, 2, 3]), Measure.from_weights([4, 8, 12])
+        assert a == b and hash(a) == hash(b)
+        assert a != Measure.from_weights([1, 3, 2])
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError, match="integers only"):
+            Measure.from_weights([1, 0.5])
+
+    @pytest.mark.parametrize("weights", [[], [2, -1], [0, 0, 0]])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError):
+            Measure.from_weights(weights)
 
 
 class TestDelta:
@@ -80,6 +115,11 @@ class TestSampling:
     def test_exact_normalization(self):
         for mu in sample_measures(6, 20, 9):
             assert sum(mu.p) == 1
+
+    def test_matches_fraction_oracle(self):
+        for n, count, seed in [(1, 3, 0), (12, 20, 4), (60, 30, 1)]:
+            got = [mu.p for mu in sample_measures(n, count, seed)]
+            assert got == sample_measures_fraction(n, count, seed)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,8 +31,9 @@ from graphcurv import (
     transport_vector,
     verify_minimax,
 )
-from graphcurv import game
-from oracles import transport_vector_rowsum
+from graphcurv import game, verifier
+from graphcurv.verifier import INT64_MAX
+from oracles import measure_battery_fraction, transport_vector_rowsum, verify_minimax_per_measure
 
 
 def solved(g):
@@ -161,6 +163,57 @@ class TestVerifyMinimax:
         with pytest.raises(HardVerificationError, match="upper bound failed"):
             verify_minimax(D, forged, [measure_uniform(3)])
 
+    def test_hard_error_messages_from_a_later_block(self):
+        D, sol = solved(star(4))
+        forged = dataclasses.replace(sol, nonneg=True)
+        message = "lower bound failed for uniform_on:1,2 although min w >= 0: A = 1 > K = 3/4"
+        with pytest.raises(HardVerificationError, match=f"^{re.escape(message)}$"):
+            verify_minimax(D, forged, measure_battery(4, samples=2, seed=0))
+        # B = 2, 2, 3/2 in the first block of three; uniform (B = 1) opens the second
+        D, sol = solved(path(3))
+        forged = dataclasses.replace(sol, l1_norm=Fraction(5, 2))
+        battery = [("delta:0", measure_delta(3, 0)), ("delta:2", measure_delta(3, 2)),
+                   ("uniform_on:0,1", measure_uniform_on(3, (0, 1))),
+                   ("uniform", measure_uniform(3))]
+        message = ("upper bound failed for uniform: K = 6/5 > B = 1; "
+                   "this contradicts the identity <w, DP> = n")
+        with pytest.raises(HardVerificationError, match=f"^{re.escape(message)}$"):
+            verify_minimax(D, forged, battery)
+
+    def test_blocked_matches_per_measure(self):
+        graphs = small_families()
+        graphs += [gnp(4 + seed % 13, Fraction(1, 2 + seed % 3), seed)[0] for seed in range(100)]
+        for g in graphs:
+            D, sol = solved(g)
+            if sol.status is SolveStatus.INCONSISTENT:
+                continue
+            battery = measure_battery(g.n, samples=g.n, seed=2)
+            assert len(battery) > g.n  # at least two blocks
+            assert verify_minimax(D, sol, battery) == verify_minimax_per_measure(D, sol, battery), g
+
+    def test_python_int_block_among_int64_blocks(self):
+        D, sol = solved(path(6))
+        tiny = Fraction(1, 2 ** 70 + 1)
+        wide = Measure([tiny, Fraction(1, 3), 0, 1 - tiny - Fraction(1, 3) - Fraction(1, 7),
+                        Fraction(1, 7), 0])
+        assert wide.den > 2 ** 62 and int(D.entries.max()) * wide.den > INT64_MAX
+        battery = [(f"sample:{i}", mu) for i, mu in enumerate(sample_measures(6, 14, 3))]
+        battery.insert(8, ("wide", wide))
+        report = verify_minimax(D, sol, battery)
+        assert report == verify_minimax_per_measure(D, sol, battery)
+        for (_, mu), rec in zip(battery, report.records):
+            dp = transport_vector_rowsum(D, mu)
+            assert (rec.A, rec.B) == (min(dp), max(dp))
+
+    def test_dimension_checked_before_any_product(self, monkeypatch):
+        D, sol = solved(path(3))
+        forged = dataclasses.replace(sol, l1_norm=Fraction(1, 10))  # every measure fails B
+        battery = measure_battery(3, samples=5, seed=0) + [("wrong", measure_uniform(4))]
+        monkeypatch.setattr(verifier, "_transport_block",
+                            lambda D, block: pytest.fail("product before the dimension check"))
+        with pytest.raises(ValueError, match="dimension mismatch: measure on 4 vertices"):
+            verify_minimax(D, forged, battery)
+
     def test_sandwich_nonneg_over_battery(self):
         for g in small_families():
             D, sol = solved(g)
@@ -274,3 +327,11 @@ class TestBattery:
 
     def test_deterministic(self):
         assert measure_battery(5, 10, 4) == measure_battery(5, 10, 4)
+
+    @pytest.mark.parametrize("n,samples", [(n, 25) for n in sorted({g.n for g in small_families()})]
+                             + [(60, 300), (120, 300)])
+    def test_matches_fraction_oracle(self, n, samples):
+        battery = measure_battery(n, samples=samples, seed=7)
+        expected = measure_battery_fraction(n, samples, seed=7)
+        assert [(name, mu.p) for name, mu in battery] == expected
+        assert all(mu == Measure(p) for (_, mu), (_, p) in zip(battery, expected))

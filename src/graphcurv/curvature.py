@@ -1,9 +1,16 @@
 """Exact solution of D w = n 1 and the curvature bound K = n / ||w||_1.
 
-The exact path runs fraction-free Bareiss elimination on Python ints
-(`bareiss_solve`); rank and consistency are decided there and only there,
-and w is returned only after the integer identity D num = n den 1 holds.
-The same kernel solves the basis systems of the game certificate
+The exact path first tries Dixon p-adic lifting (`dixon_solve`, Dixon 1982)
+in int64 numpy: D is inverted modulo the fixed prime LIFT_PRIME, the p-adic
+digits of w are lifted one matrix-vector product at a time, and w is read
+off by rational reconstruction (Wang, Guy & Davenport 1982).  A candidate is
+returned only after the integer identity D num = n den 1 holds; an inverse
+mod p proves det D != 0, so the status is then unique.  When D is singular
+mod p (which includes every underdetermined or inconsistent system), the
+step cap is reached, or n is too large for the int64 guard, fraction-free
+Bareiss elimination on Python ints (`bareiss_solve`) decides rank,
+consistency and the particular solution, and its w passes the same
+identity.  Bareiss also solves the basis systems of the game certificate
 (graphcurv.game).  The float path is plain LU for large instances and never
 classifies the solution set.
 """
@@ -14,6 +21,7 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +30,8 @@ from .errors import HardVerificationError, InconsistentSystemError, NumericallyS
 from .metric import DistanceMatrix, row_sums
 
 FLOAT_PIVOT_FLOOR = 1e-12  # scaled by n at use
+LIFT_PRIME = 33554393  # the largest prime below 2**25
+LIFT_MAX_N = (2**63 - 1) // LIFT_PRIME**2  # 8192: n p^2 < 2^63 keeps int64 sums of products exact
 
 
 class SolveStatus(enum.Enum):
@@ -108,19 +118,147 @@ def bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int], list[int
     return piv_cols, num, prev
 
 
+def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray | None:
+    """Inverse of the square int64 matrix A modulo the prime p, or None if singular mod p.
+
+    Gauss-Jordan on [A | I], vectorised over rows.  Only the pivot column
+    and the pivot row are reduced before they are read; every other entry
+    takes one product below p^2 per step, so it stays below n p^2 < 2^63.
+    """
+    n = len(A)
+    M = np.zeros((n, 2 * n), dtype=np.int64)
+    M[:, :n] = A % p
+    M[:, n:] = np.eye(n, dtype=np.int64)
+    for k in range(n):
+        col = M[k:, k]
+        col %= p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            return None
+        r = k + int(nz[0])
+        if r != k:
+            M[[k, r]] = M[[r, k]]
+        row = M[k, k:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        f = M[:, k] % p
+        f[k] = 0
+        M[:, k:] -= np.outer(f, row)
+    return M[:, n:] % p
+
+
+def _lift_steps(n: int, a: int, beta: int, p: int) -> int:
+    """Lifting steps after which reconstruction must find the solution.
+
+    By Hadamard's bound every n x n minor of [A | b], so det A and each
+    Cramer numerator, is at most H with H^2 = (n a^2 + beta^2)^n, where a
+    and beta are the largest magnitudes in A and b; reconstruction is
+    unique once p^k > 2 H^2.
+    """
+    h2 = (n * a * a + beta * beta) ** n
+    steps, pk = 0, 1
+    while pk <= 2 * h2:
+        pk *= p
+        steps += 1
+    return steps
+
+
+def _reconstruct(u: list[int], m: int) -> tuple[list[int], int] | None:
+    """num, den > 0 with den u = num (mod m) and |num_i|, den <= sqrt(m/2), or None.
+
+    Wang's rational reconstruction entry by entry, carrying the common
+    denominator so far: an entry whose reduced fraction needs no new factor
+    costs one product.  Such a pair is unique when it exists; a pair found
+    before enough digits are lifted may still be wrong, so callers certify.
+    """
+    bound = isqrt(m // 2)
+    num: list[int] = []
+    den = 1
+    for ui in u:
+        a = den * ui % m
+        if a > bound:
+            a -= m
+        if a < -bound:
+            r0, r1, t0, t1 = m, a + m, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            if den * t1 > bound:
+                return None
+            num = [x * t1 for x in num]
+            den *= t1
+            a = r1
+        num.append(a)
+    return num, den
+
+
+def _satisfies(A: np.ndarray, b: list[int], num: list[int], den: int) -> bool:
+    """The exact integer identity A num == den b, on Python ints."""
+    lhs = A.astype(object) @ np.array(num, dtype=object)
+    return all(x == den * bi for x, bi in zip(lhs, b))
+
+
+def dixon_solve(A: np.ndarray, b: list[int]) -> tuple[list[int], int] | None:
+    """num, den > 0 with A num = den b exactly, by Dixon p-adic lifting, or None.
+
+    A is a square int64 matrix.  With C = A^-1 mod p, each step takes
+    x = C (r mod p) mod p and r <- (r - A x) / p, an exact int64 division, so
+    sum_i x_i p^i solves A w = b modulo p^k after k steps.  w is
+    reconstructed after 2, 4, 8, ... steps and at the cap `_lift_steps`, and
+    returned only once A num == den b holds.  None when A is singular mod p
+    (every singular A is), when the cap is reached, or when an int64 sum
+    could overflow; the caller then eliminates exactly.
+    """
+    p = LIFT_PRIME
+    n = len(A)
+    a = int(np.abs(A).max(initial=0))
+    beta = max(map(abs, b), default=0)
+    # |r| stays below beta + 2 n a, so r - A x stays below n p (2 a + beta)
+    if n > LIFT_MAX_N or n * p * (2 * a + beta) >= 2**63:
+        return None
+    C = _inverse_mod(A, p)
+    if C is None:
+        return None
+    steps = _lift_steps(n, a, beta, p)
+    r = np.array(b, dtype=np.int64)
+    u = [0] * n
+    pk = 1
+    attempt = 2
+    for step in range(1, steps + 1):
+        x = C @ (r % p) % p
+        r = (r - A @ x) // p
+        u = [ui + xi * pk for ui, xi in zip(u, x.tolist())]
+        pk *= p
+        if step == attempt or step == steps:
+            attempt *= 2
+            cand = _reconstruct(u, pk)
+            if cand is not None and _satisfies(A, b, *cand):
+                return cand
+    return None
+
+
 def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
-    """Exact solution of D w = n 1 by fraction-free elimination.
+    """Exact solution of D w = n 1: p-adic lifting, else fraction-free elimination.
 
     w is returned only after the integer identity D num = n den 1 holds.
     """
     n = D.n
-    rows = D.row_lists()
-    piv_cols, num, den = bareiss_solve(rows, [n] * n)
-    rank = len(piv_cols)
-    if num is None:
-        return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)
-    if any(sum(d * x for d, x in zip(row, num)) != n * den for row in rows):
-        raise HardVerificationError("exact solve failed its check D num = n den 1")
+    b = [n] * n
+    lifted = dixon_solve(D.entries, b)
+    if lifted is not None:
+        num, den = lifted
+        rank = n  # an inverse mod p proves det D != 0
+    else:
+        piv_cols, num, den = bareiss_solve(D.row_lists(), b)
+        rank = len(piv_cols)
+        if num is None:
+            return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)
+        if not _satisfies(D.entries, b, num, den):
+            raise HardVerificationError("exact solve failed its check D num = n den 1")
     w = [Fraction(x, den) for x in num]
 
     l1 = sum((abs(x) for x in w), Fraction(0))
@@ -173,7 +311,7 @@ def solve_curvature_float(D: DistanceMatrix) -> FloatSolution:
         )
     w = scipy.linalg.lu_solve((lu, piv), rhs)
     residual = float(np.abs(A @ w - rhs).max())
-    cond_hint = float(u_diag.min() / np.abs(A).max()) if n > 1 else 1.0
+    cond_hint = float(u_diag.min() / A.max()) if n > 1 else 1.0  # D >= 0, so max = max |.|
     return FloatSolution(w=w, residual_inf=residual, condition_hint=cond_hint)
 
 

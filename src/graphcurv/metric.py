@@ -52,7 +52,9 @@ def apsp(g: Graph) -> DistanceMatrix:
                           count=int(indptr[-1]))
     data = np.ones(len(indices), dtype=np.int8)
     adj = csr_matrix((data, indices, indptr), shape=(n, n))
-    dist = shortest_path(adj, method="D", unweighted=True, directed=False)
+    # adjacency is symmetric, so the directed search gives the same distances;
+    # the undirected one also walks the transpose, about 15% slower
+    dist = shortest_path(adj, method="D", unweighted=True, directed=True)
     if np.isinf(dist).any():
         i, j = np.argwhere(np.isinf(dist))[0]
         raise DisconnectedGraphError(int(i), int(j))

@@ -2,7 +2,8 @@
 
 These deliberately take different algorithmic routes than the library
 (Floyd-Warshall instead of BFS, dense float LP instead of exact simplex,
-Gaussian elimination over Fractions instead of fraction-free Bareiss, row
+Gaussian elimination over Fractions instead of p-adic lifting or
+fraction-free Bareiss, row
 sums in Python instead of one matrix product, scalar instead of vectorized
 SplitMix, one Fraction per measure entry instead of integer numerators over
 one denominator, one transport vector per measure instead of one product per
@@ -221,13 +222,22 @@ def solve_curvature_fraction(
 ) -> tuple[SolveStatus, int, tuple[Fraction, ...] | None]:
     """(status, nullity, w) of D w = n 1 by Gaussian elimination over Fractions.
 
-    Partial pivoting by largest magnitude, ties to the lowest row index; w is
-    the particular solution with every free variable zero.  This was the
-    library's exact solver before the fraction-free one replaced it.
+    This was the library's exact solver before the fraction-free one replaced it.
     """
-    n = D.n
-    A = [[Fraction(x) for x in row] for row in D.row_lists()]
-    b = [Fraction(n)] * n
+    return solve_system_fraction(D.row_lists(), [D.n] * D.n)
+
+
+def solve_system_fraction(
+    A: list[list[int]], b: list[int],
+) -> tuple[SolveStatus, int, tuple[Fraction, ...] | None]:
+    """(status, nullity, x) of the square system A x = b over Fractions.
+
+    Partial pivoting by largest magnitude, ties to the lowest row index; x is
+    the particular solution with every free variable zero.
+    """
+    n = len(A)
+    A = [[Fraction(x) for x in row] for row in A]
+    b = [Fraction(x) for x in b]
     piv_cols: list[int] = []
     rank = 0
     for col in range(n):

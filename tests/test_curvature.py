@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from graphcurv import (
+    HardVerificationError,
     InconsistentSystemError,
     NumericallySingularError,
     SolveStatus,
@@ -21,8 +23,9 @@ from graphcurv import (
     star,
     transitive_oracle,
 )
-from graphcurv.curvature import bareiss_solve
-from oracles import solve_curvature_fraction, solve_system_fraction_lstsq
+from graphcurv import curvature
+from graphcurv.curvature import bareiss_solve, dixon_solve
+from oracles import solve_curvature_fraction, solve_system_fraction, solve_system_fraction_lstsq
 
 
 def solved(g):
@@ -163,6 +166,15 @@ class TestFloatSolver:
         assert 0 <= fs.residual_inf < 1e-10
         assert 0 < fs.condition_hint <= 1
 
+    def test_condition_hint_unchanged(self):
+        # D >= 0, so A.max() is the max |A| the hint was defined with
+        for g in [path(2), path(9), star(8), cycle(11), complete(6), gnp(30, Fraction(1, 3), 4)[0]]:
+            D = apsp(g)
+            A = D.entries.astype(np.float64)
+            lu, _ = scipy.linalg.lu_factor(A)
+            old = float(np.abs(np.diagonal(lu)).min() / np.abs(A).max())
+            assert solve_curvature_float(D).condition_hint == old, g
+
     def test_singular_matrix_refused(self):
         # hypercube distance matrices have rank d+1 << 2^d
         with pytest.raises(NumericallySingularError):
@@ -230,3 +242,130 @@ class TestBareissAgainstFractionOracle:
             assert den > 0
             assert all(num[c] == 0 for c in range(5) if c not in piv_cols)
             assert all(sum(a * x for a, x in zip(row, num)) == den * bi for row, bi in zip(A, b))
+
+
+class TestDixonLifting:
+    """The p-adic lifting kernel against the Fraction oracle, and its fallbacks."""
+
+    @staticmethod
+    def spy_bareiss(monkeypatch):
+        calls = []
+
+        def spy(A, b):
+            calls.append(len(A))
+            return bareiss_solve(A, b)
+
+        monkeypatch.setattr(curvature, "bareiss_solve", spy)
+        return calls
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(17, 48),
+           p=st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]),
+           seed=st.integers(0, 10**6))
+    def test_solve_curvature_matches_oracle_on_gnp(self, n, p, seed):
+        D = apsp(gnp(n, p, seed)[0])
+        sol = solve_curvature(D)
+        assert (sol.status, sol.nullity, sol.w) == solve_curvature_fraction(D)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n))))
+    def test_kernel_on_integer_systems(self, system):
+        A, b = system
+        status, _, x = solve_system_fraction(A, b)
+        lifted = dixon_solve(np.array(A, dtype=np.int64), b)
+        if status is not SolveStatus.UNIQUE:
+            assert lifted is None  # a singular A is singular mod p
+            return
+        _, _, det = bareiss_solve(A, [0] * len(A))
+        if lifted is None:
+            assert det % curvature.LIFT_PRIME == 0
+            return
+        num, den = lifted
+        assert den > 0
+        assert tuple(Fraction(v, den) for v in num) == x
+
+    @pytest.mark.parametrize("g", [gnp(120, Fraction(1, 12), 1)[0], gnp(60, Fraction(1, 6), 3)[0],
+                                   path(60), star(40), cycle(41)])
+    def test_kernel_matches_bareiss_at_larger_n(self, g):
+        D = apsp(g)
+        n = g.n
+        num, den = dixon_solve(D.entries, [n] * n)
+        piv_cols, b_num, b_den = bareiss_solve(D.row_lists(), [n] * n)
+        assert len(piv_cols) == n
+        assert [Fraction(x, den) for x in num] == [Fraction(x, b_den) for x in b_num]
+
+    def test_early_candidate_is_certified_before_it_is_returned(self):
+        # w = beta / a needs about 72 bits of p-adic digits; two steps give
+        # only 50, yet reconstruction already finds a (wrong) small fraction
+        a, beta = 2**36 + 1, 2**36 - 17
+        p = curvature.LIFT_PRIME
+        early = curvature._reconstruct([beta * pow(a, -1, p * p) % (p * p)], p * p)
+        assert early is not None and Fraction(early[0][0], early[1]) != Fraction(beta, a)
+        assert dixon_solve(np.array([[a]], dtype=np.int64), [beta]) == ([beta], a)
+
+    def test_uncertified_candidates_fall_back_to_bareiss(self, monkeypatch):
+        D, expected = apsp(path(3)), solve_curvature_fraction(apsp(path(3)))
+        monkeypatch.setattr(curvature, "_reconstruct", lambda u, m: ([3, 1, 3], 2))
+        assert dixon_solve(D.entries, [3] * 3) is None
+        calls = self.spy_bareiss(monkeypatch)
+        sol = solve_curvature(D)
+        assert calls == [3]
+        assert (sol.status, sol.nullity, sol.w) == expected
+
+    def test_singular_mod_p_falls_back(self, monkeypatch):
+        # det D(path:3) = 4, so D has no inverse mod 2
+        D = apsp(path(3))
+        monkeypatch.setattr(curvature, "LIFT_PRIME", 2)
+        assert dixon_solve(D.entries, [3] * 3) is None
+        calls = self.spy_bareiss(monkeypatch)
+        sol = solve_curvature(D)
+        assert calls == [3]
+        assert sol.status is SolveStatus.UNIQUE
+        assert sol.w == (Fraction(3, 2), Fraction(0), Fraction(3, 2))
+
+    def test_step_cap_falls_back(self, monkeypatch):
+        D = apsp(gnp(40, Fraction(1, 5), 1)[0])
+        expected = solve_curvature_fraction(D)
+        monkeypatch.setattr(curvature, "_lift_steps", lambda n, a, beta, p: 1)
+        assert dixon_solve(D.entries, [40] * 40) is None
+        calls = self.spy_bareiss(monkeypatch)
+        sol = solve_curvature(D)
+        assert calls == [40]
+        assert (sol.status, sol.nullity, sol.w) == expected
+
+    def test_size_guard_falls_back(self, monkeypatch):
+        D = apsp(star(5))
+        expected = solve_curvature_fraction(D)
+        monkeypatch.setattr(curvature, "LIFT_MAX_N", 4)
+        assert dixon_solve(D.entries, [5] * 5) is None
+        calls = self.spy_bareiss(monkeypatch)
+        sol = solve_curvature(D)
+        assert calls == [5]
+        assert (sol.status, sol.nullity, sol.w) == expected
+        monkeypatch.setattr(curvature, "LIFT_MAX_N", 5)
+        assert dixon_solve(D.entries, [5] * 5) is not None
+
+    def test_int64_guard(self):
+        # beyond the guard an int64 residual could overflow, so nothing is lifted
+        A = np.array([[2**40]], dtype=np.int64)
+        assert dixon_solve(A, [1]) is None
+        assert dixon_solve(A // 2**10, [1]) == ([1], 2**30)
+
+    def test_bareiss_answer_is_checked(self, monkeypatch):
+        monkeypatch.setattr(curvature, "LIFT_MAX_N", 0)
+        monkeypatch.setattr(curvature, "bareiss_solve", lambda A, b: ([0, 1, 2], [3, 1, 3], 2))
+        with pytest.raises(HardVerificationError, match="D num = n den 1"):
+            solve_curvature(apsp(path(3)))
+
+    def test_singular_and_inconsistent_systems_use_bareiss(self, monkeypatch):
+        calls = self.spy_bareiss(monkeypatch)
+        for g, status in [(cycle(6), SolveStatus.UNDERDETERMINED), (grid(3, 4), SolveStatus.UNDERDETERMINED),
+                          (complete(1), SolveStatus.INCONSISTENT)]:
+            assert dixon_solve(apsp(g).entries, [g.n] * g.n) is None
+            assert solve_curvature(apsp(g)).status is status
+        assert calls == [6, 12, 1]
+        calls.clear()
+        solve_curvature(apsp(cycle(7)))
+        assert calls == []

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from graphcurv import (
     DisconnectedGraphError,
@@ -17,6 +18,7 @@ from graphcurv import (
     row_sums,
     star,
 )
+from graphcurv import metric
 from oracles import floyd_warshall
 
 
@@ -118,3 +120,24 @@ def test_disconnected_refused_with_named_pair():
 def apsp_reaches(g, source):
     from graphcurv.graphs import _bfs_reachable
     return frozenset(_bfs_reachable(g, source))
+
+
+def test_directed_search_matches_undirected(monkeypatch):
+    # apsp searches the symmetric adjacency as directed; the undirected
+    # search must give the same matrix and name the same unreachable pair
+    graphs = family_graphs_up_to(16) + [gnp(6 + s % 27, Fraction(1, 3), s)[0] for s in range(20)]
+    disconnected = [Graph(4, [(0, 1), (2, 3)]), Graph(6, [(0, 5), (1, 2), (2, 3)]), Graph(3, [])]
+    directed = [apsp(g).entries for g in graphs]
+    directed_errors = []
+    for g in disconnected:
+        with pytest.raises(DisconnectedGraphError) as exc:
+            apsp(g)
+        directed_errors.append(exc.value.unreachable_pair)
+    monkeypatch.setattr(metric, "shortest_path",
+                        lambda *args, **kw: shortest_path(*args, **{**kw, "directed": False}))
+    for g, entries in zip(graphs, directed):
+        assert np.array_equal(apsp(g).entries, entries), g
+    for g, pair in zip(disconnected, directed_errors):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            apsp(g)
+        assert exc.value.unreachable_pair == pair

@@ -10,9 +10,9 @@ mod p (which includes every underdetermined or inconsistent system), the
 step cap is reached, or n is too large for the int64 guard, fraction-free
 Bareiss elimination on Python ints (`bareiss_solve`) decides rank,
 consistency and the particular solution, and its w passes the same
-identity.  Bareiss also solves the basis systems of the game certificate
-(graphcurv.game).  The float path is plain LU for large instances and never
-classifies the solution set.
+identity.  The game (graphcurv.game) solves its basis systems the same
+way: lifting first, Bareiss when lifting gives up.  The float path is plain
+LU for large instances and never classifies the solution set.
 """
 
 from __future__ import annotations

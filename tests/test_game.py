@@ -5,6 +5,7 @@ import pytest
 
 from graphcurv import (
     DistanceMatrix,
+    HardVerificationError,
     SolveStatus,
     apsp,
     complete,
@@ -140,10 +141,47 @@ class TestCurvatureComparison:
 
 
 def bland_only(D, monkeypatch):
-    """game_value with the float basis finder switched off: the exact Bland path."""
+    """game_value with both float runs switched off: the exact Bland path."""
     with monkeypatch.context() as m:
-        m.setattr(game, "_float_basis", lambda M: None)
+        m.setattr(game, "_float_basis", lambda M, dantzig: None)
         return game_value(D)
+
+
+def bland_float_only(D, monkeypatch):
+    """game_value with the Dantzig run switched off: the float Bland basis, certified."""
+    float_basis = game._float_basis
+    with monkeypatch.context() as m:
+        m.setattr(game, "_float_basis", lambda M, dantzig: None if dantzig else float_basis(M, False))
+        return game_value(D)
+
+
+def spy_runs(monkeypatch):
+    """Record (dantzig, basis found) for every float run game_value makes."""
+    runs = []
+    float_basis = game._float_basis
+
+    def spy(M, dantzig):
+        basis = float_basis(M, dantzig)
+        runs.append((dantzig, basis is not None))
+        return basis
+
+    monkeypatch.setattr(game, "_float_basis", spy)
+    return runs
+
+
+def raw_dantzig_basis(M, monkeypatch):
+    """The Dantzig run's final basis with its nondegeneracy screen switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(game, "_nondegenerate", lambda *args: True)
+        return game._float_basis(M, True)
+
+
+def tight_sets(D, sol):
+    """{j : (D P)_j = value} and {i : (D Q)_i = value} for the maximin P and minimax Q."""
+    low = transport_vector(D, sol.maximin_strategy).dp
+    high = transport_vector(D, sol.minimax_strategy).dp
+    return ({j for j, x in enumerate(low) if x == sol.value},
+            {i for i, x in enumerate(high) if x == sol.value})
 
 
 class TestCertifiedBasisAgainstBland:
@@ -165,6 +203,109 @@ class TestCertifiedBasisAgainstBland:
             assert game_value(D) == bland_only(D, monkeypatch), seed
 
 
+class TestUniqueOptimum:
+    """A Dantzig basis is kept only when its optimum is certified unique."""
+
+    # the raw Dantzig basis is optimal here, but its strategies are not Bland's
+    DEGENERATE = ["path:60", "grid:8,10", "grid:5,8", "hypercube:6"]
+
+    @pytest.mark.parametrize("spec", DEGENERATE)
+    def test_optimal_but_not_unique_basis_is_rejected(self, spec, monkeypatch):
+        D = apsp(parse_generator_spec(spec, seed=0))
+        M = D.entries + 1
+        expected = bland_only(D, monkeypatch)
+        raw = raw_dantzig_basis(M, monkeypatch)
+        pair = game._basis_pair(M, raw)
+        assert game._certified(D, *pair) != expected  # optimal, yet a different answer
+        with pytest.raises(HardVerificationError, match="not unique"):
+            game._certified(D, *pair, raw)
+        assert game_value(D) == expected
+
+    @pytest.mark.parametrize("spec", DEGENERATE)
+    def test_float_screen_rejects_degenerate_tableau(self, spec):
+        M = apsp(parse_generator_spec(spec, seed=0)).entries + 1
+        assert game._float_basis(M, True) is None
+        assert game._float_basis(M, False) is not None
+
+    # the raw Dantzig basis has tight sets equal to its basis sets; only zero
+    # basic entries, in Q, in P or in both, show that its optimum is not unique
+    @pytest.mark.parametrize("n,seed,short", [(6, 405, ("minimax",)), (14, 1167, ("maximin",)),
+                                              (4, 39, ("minimax", "maximin"))],
+                             ids=["Q", "P", "both"])
+    def test_support_smaller_than_basis_is_rejected(self, n, seed, short, monkeypatch):
+        D = apsp(gnp(n, Fraction(1, 2), seed)[0])
+        M = D.entries + 1
+        raw = raw_dantzig_basis(M, monkeypatch)
+        pair = game._basis_pair(M, raw)
+        sol = game._certified(D, *pair)
+        cols = {j for j in raw if j < n}
+        rows = set(range(n)) - {j - n for j in raw if j >= n}
+        assert tight_sets(D, sol) == (cols, rows)
+        supports = (set(sol.minimax_strategy.support()), set(sol.maximin_strategy.support()))
+        assert (supports[0] < cols, supports[1] < rows) == ("minimax" in short, "maximin" in short)
+        assert sol != bland_only(D, monkeypatch)
+        with pytest.raises(HardVerificationError, match="not unique"):
+            game._certified(D, *pair, raw)
+
+    def test_bland_basis_of_a_non_unique_optimum_is_rejected(self):
+        # no basis passes when the optimum is not unique, Bland's own included
+        D = apsp(path(60))
+        M = D.entries + 1
+        basis = game._float_basis(M, False)
+        pair = game._basis_pair(M, basis)
+        game._certified(D, *pair)
+        with pytest.raises(HardVerificationError, match="not unique"):
+            game._certified(D, *pair, basis)
+
+    # verify-mid's two gnp instances at benchmark seed 1
+    @pytest.mark.parametrize("spec,seed", [("gnp:60,1/6", 1669037940),
+                                           ("gnp:120,1/12", 1943460723)])
+    def test_dantzig_answer_accepted(self, spec, seed, monkeypatch):
+        D = apsp(parse_generator_spec(spec, seed=seed))
+        expected = bland_float_only(D, monkeypatch)
+        runs = spy_runs(monkeypatch)
+        assert game_value(D) == expected
+        assert runs == [(True, True)]
+
+    def test_gnp_at_scale(self, monkeypatch):
+        accepted = 0
+        for seed in range(50):
+            n = 40 + seed * 120 // 49
+            D = apsp(gnp(n, Fraction(1, n // 10), seed)[0])
+            with monkeypatch.context() as m:
+                runs = spy_runs(m)
+                sol = game_value(D)
+            accepted += runs == [(True, True)]
+            M = D.entries + 1
+            basis = game._float_basis(M, False)
+            if basis is None:
+                # Bland's float run hits FLOAT_PIVOT_CAP (n = 147, seed 44), and the
+                # exact simplex behind it takes minutes; a unique optimum is its answer
+                assert runs == [(True, True)], (n, seed)
+                continue
+            assert sol == game._certified(D, *game._basis_pair(M, basis)), (n, seed)
+        assert accepted >= 25
+
+    def test_capped_dantzig_run_hands_over_to_bland(self, monkeypatch):
+        D = apsp(cycle(39))
+        expected = bland_only(D, monkeypatch)
+        float_basis = game._float_basis
+        runs = []
+
+        def capped(M, dantzig):
+            with monkeypatch.context() as m:
+                if dantzig:
+                    m.setattr(game, "FLOAT_PIVOT_CAP", 1)
+                basis = float_basis(M, dantzig)
+            runs.append((dantzig, basis is not None))
+            return basis
+
+        monkeypatch.setattr(game, "_float_basis", capped)
+        monkeypatch.setattr(game, "_simplex_bland", lambda M: pytest.fail("exact simplex ran"))
+        assert game_value(D) == expected
+        assert runs == [(True, False), (False, True)]
+
+
 class TestForcedFallback:
     """Any basis the exact checks reject hands over to the Bland simplex."""
 
@@ -184,21 +325,38 @@ class TestForcedFallback:
             calls.append(len(M))
             return simplex(M)
 
-        monkeypatch.setattr(game, "_float_basis", lambda M: basis(len(M)))
+        monkeypatch.setattr(game, "_float_basis", lambda M, dantzig: basis(len(M)))
         monkeypatch.setattr(game, "_simplex_bland", counted)
         assert game_value(D) == expected
         assert calls == [8]
 
     def test_singular_basis_is_detected(self):
-        D = apsp(hypercube(3))
-        M = [[x + 1 for x in row] for row in D.row_lists()]
+        M = apsp(hypercube(3)).entries + 1
         assert game._basis_pair(M, list(range(8))) is None
 
+    def test_basis_pair_falls_back_to_bareiss(self, monkeypatch):
+        M = apsp(cycle(39)).entries + 1
+        basis = game._float_basis(M, True)
+        expected = game._basis_pair(M, basis)
+        calls = []
+        bareiss = game.bareiss_solve
+
+        def counted(A, b):
+            calls.append(len(A))
+            return bareiss(A, b)
+
+        monkeypatch.setattr(game, "dixon_solve", lambda A, b: None)
+        monkeypatch.setattr(game, "bareiss_solve", counted)
+        assert game._basis_pair(M, basis) == expected
+        assert calls == [39, 39]  # B and B^T, the full-support basis of an odd cycle
+
     def test_pivot_cap(self, monkeypatch):
-        M = [[x + 1 for x in row] for row in apsp(path(6)).row_lists()]
-        assert game._float_basis(M) is not None
+        M = apsp(cycle(7)).entries + 1
+        for dantzig in (True, False):
+            assert game._float_basis(M, dantzig) is not None
         monkeypatch.setattr(game, "FLOAT_PIVOT_CAP", 1)
-        assert game._float_basis(M) is None
+        for dantzig in (True, False):
+            assert game._float_basis(M, dantzig) is None
 
 
 def test_comparison_reuses_given_game_solution(monkeypatch):

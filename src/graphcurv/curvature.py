@@ -11,8 +11,10 @@ step cap is reached, or n is too large for the int64 guard, fraction-free
 Bareiss elimination on Python ints (`bareiss_solve`) decides rank,
 consistency and the particular solution, and its w passes the same
 identity.  The game (graphcurv.game) solves its basis systems the same
-way: lifting first, Bareiss when lifting gives up.  The float path is plain
-LU for large instances and never classifies the solution set.
+way: lifting first (`dixon_inverse` once, then `dixon_lift` for the basis
+and its transpose), Bareiss when lifting gives up.  The float path is plain
+LU for large instances and never classifies the solution set; it imports
+scipy.linalg only when it runs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from fractions import Fraction
 from math import isqrt
 
 import numpy as np
-import scipy.linalg
 
 from .errors import HardVerificationError, InconsistentSystemError, NumericallySingularError
 from .metric import DistanceMatrix, row_sums
@@ -32,6 +33,7 @@ from .metric import DistanceMatrix, row_sums
 FLOAT_PIVOT_FLOOR = 1e-12  # scaled by n at use
 LIFT_PRIME = 33554393  # the largest prime below 2**25
 LIFT_MAX_N = (2**63 - 1) // LIFT_PRIME**2  # 8192: n p^2 < 2^63 keeps int64 sums of products exact
+_RESIDUAL_ROWS = 256  # rows of D per float block of the residual
 
 
 class SolveStatus(enum.Enum):
@@ -213,17 +215,28 @@ def dixon_solve(A: np.ndarray, b: list[int]) -> tuple[list[int], int] | None:
     (every singular A is), when the cap is reached, or when an int64 sum
     could overflow; the caller then eliminates exactly.
     """
-    p = LIFT_PRIME
+    C = dixon_inverse(A, max(map(abs, b), default=0))
+    return None if C is None else dixon_lift(A, C, b)
+
+
+def dixon_inverse(A: np.ndarray, beta: int) -> np.ndarray | None:
+    """A^-1 mod LIFT_PRIME for lifting right-hand sides up to beta in magnitude.
+
+    None when A is singular mod p, or when an int64 sum could overflow.
+    """
     n = len(A)
     a = int(np.abs(A).max(initial=0))
-    beta = max(map(abs, b), default=0)
     # |r| stays below beta + 2 n a, so r - A x stays below n p (2 a + beta)
-    if n > LIFT_MAX_N or n * p * (2 * a + beta) >= 2**63:
+    if n > LIFT_MAX_N or n * LIFT_PRIME * (2 * a + beta) >= 2**63:
         return None
-    C = _inverse_mod(A, p)
-    if C is None:
-        return None
-    steps = _lift_steps(n, a, beta, p)
+    return _inverse_mod(A, LIFT_PRIME)
+
+
+def dixon_lift(A: np.ndarray, C: np.ndarray, b: list[int]) -> tuple[list[int], int] | None:
+    """`dixon_solve`'s lifting, with C = A^-1 mod p from `dixon_inverse`."""
+    p = LIFT_PRIME
+    n = len(A)
+    steps = _lift_steps(n, int(np.abs(A).max(initial=0)), max(map(abs, b), default=0), p)
     r = np.array(b, dtype=np.int64)
     u = [0] * n
     pk = 1
@@ -295,14 +308,20 @@ def curvature_bound(sol: CurvatureSolution, n: int) -> Fraction:
 
 
 def solve_curvature_float(D: DistanceMatrix) -> FloatSolution:
-    """Partial-pivoting LU in doubles; residual recomputed, never assumed."""
+    """Partial-pivoting LU in doubles; residual recomputed, never assumed.
+
+    LU factors a Fortran-order float copy of D in place, so only one n x n
+    float array exists; the residual is taken from D in row blocks.
+    """
+    import scipy.linalg  # here, so that the exact paths never load scipy
+
     n = D.n
-    A = D.entries.astype(np.float64)
+    lu = D.entries.astype(np.float64, order="F")
     rhs = np.full(n, float(n))
     with warnings.catch_warnings():
         # singularity is decided by the explicit pivot check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
+        lu, piv = scipy.linalg.lu_factor(lu, overwrite_a=True)
     u_diag = np.abs(np.diagonal(lu))
     if u_diag.min() < FLOAT_PIVOT_FLOOR * n:
         raise NumericallySingularError(
@@ -310,8 +329,10 @@ def solve_curvature_float(D: DistanceMatrix) -> FloatSolution:
             "matrix is numerically singular"
         )
     w = scipy.linalg.lu_solve((lu, piv), rhs)
-    residual = float(np.abs(A @ w - rhs).max())
-    cond_hint = float(u_diag.min() / A.max()) if n > 1 else 1.0  # D >= 0, so max = max |.|
+    residual = max(float(np.abs(D.entries[r:r + _RESIDUAL_ROWS].astype(np.float64) @ w
+                                - float(n)).max())
+                   for r in range(0, n, _RESIDUAL_ROWS))
+    cond_hint = float(u_diag.min() / D.entries.max()) if n > 1 else 1.0  # D >= 0, so max = max |.|
     return FloatSolution(w=w, residual_inf=residual, condition_hint=cond_hint)
 
 

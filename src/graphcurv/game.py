@@ -16,12 +16,12 @@ The solve is exact at close to float cost, in the manner of QSopt_ex
   1. a float64 simplex with Dantzig's largest-reduced-cost rule, which
      needs 5-10x fewer pivots than Bland's, yields its final basis when
      that tableau looks nondegenerate;
-  2. the basis is solved exactly, by p-adic lifting
-     (graphcurv.curvature.dixon_solve) or else fraction-free Bareiss
-     elimination, and the pair must pass the optimality certificates
-     below and an exact uniqueness check (`_unique_optimum`): a unique
-     optimum is the one Bland's rule reaches too, so the answer does not
-     depend on the rule;
+  2. the basis is solved exactly, by p-adic lifting on one inverse mod p
+     for the basis and its transpose (graphcurv.curvature.dixon_lift) or
+     else fraction-free Bareiss elimination, and the pair must pass the
+     optimality certificates below and an exact uniqueness check
+     (`_unique_optimum`): a unique optimum is the one Bland's rule reaches
+     too, so the answer does not depend on the rule;
   3. otherwise the Bland simplex replays in float64 and its final basis is
      solved and certified the same way, without the uniqueness check;
   4. if that fails too (pivot cap, singular basis, rejected certificate),
@@ -45,7 +45,8 @@ from .curvature import (
     SolveStatus,
     bareiss_solve,
     curvature_bound,
-    dixon_solve,
+    dixon_inverse,
+    dixon_lift,
     solve_curvature,
 )
 from .errors import HardVerificationError
@@ -332,8 +333,10 @@ def _basis_pair(
     slack_rows = {j - n for j in basis if j >= n}
     rows = [i for i in range(n) if i not in slack_rows]
     B = M[np.ix_(rows, cols)]
-    primal = _solve_ones(B)
-    dual = _solve_ones(B.T)
+    # C^T inverts B^T, so one inverse mod p serves both lifts
+    C = dixon_inverse(B, 1)
+    primal = _solve_ones(B, C)
+    dual = _solve_ones(B.T, None if C is None else np.ascontiguousarray(C.T))
     if primal is None or dual is None:
         return None
     (z, den), (pi, pi_den) = primal, dual
@@ -346,10 +349,13 @@ def _basis_pair(
     return y, duals
 
 
-def _solve_ones(A: np.ndarray) -> tuple[list[int], int] | None:
-    """num, den with A num = den 1 for the square int64 A, or None when A is singular."""
+def _solve_ones(A: np.ndarray, C: np.ndarray | None) -> tuple[list[int], int] | None:
+    """num, den with A num = den 1 for the square int64 A, or None when A is singular.
+
+    Lifts with C = A^-1 mod p when given, else eliminates by Bareiss.
+    """
     ones = [1] * len(A)
-    lifted = dixon_solve(A, ones)
+    lifted = None if C is None else dixon_lift(A, C, ones)
     if lifted is not None:
         return lifted
     piv, num, den = bareiss_solve(A.tolist(), ones)

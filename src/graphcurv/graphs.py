@@ -6,7 +6,6 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -18,6 +17,7 @@ from .rationals import parse_ratio
 from .seeding import counter_values_np
 
 GNP_MAX_RETRIES = 1000
+GNP_BLOCK = 1 << 18  # coins drawn per numpy pass
 
 
 class Graph:
@@ -73,7 +73,7 @@ class ValidationReport:
 
 def validate(g: Graph) -> ValidationReport:
     """Structural report; connectivity via one BFS from vertex 0."""
-    seen = _bfs_reachable(g, 0)
+    seen, _ = _bfs_reachable(g, 0)
     connected = len(seen) == g.n
     issues = []
     if not connected:
@@ -82,16 +82,21 @@ def validate(g: Graph) -> ValidationReport:
     return ValidationReport(connected=connected, n=g.n, m=g.m, issues=issues)
 
 
-def _bfs_reachable(g: Graph, source: int) -> set[int]:
+def _bfs_reachable(g: Graph, source: int) -> tuple[set[int], int]:
+    """The vertices reachable from source, and the largest BFS level among them."""
     seen = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+    frontier = [source]
+    depth = -1
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in g.adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen, depth
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,9 @@ def gnp(n: int, p: Fraction, seed: int) -> tuple[Graph, int]:
     graph is a pure function of (n, p, seed).  If the draw is disconnected the
     sub-seed advances and the whole graph is redrawn, up to GNP_MAX_RETRIES.
     The coin keeps p as an exact fraction: edge present iff r * den < num * 2^64.
+    Pair (i, j), i < j, has counter i n - i (i + 1) / 2 + j - i - 1, its place
+    in row-major order of the upper triangle; the coins are drawn in blocks
+    of GNP_BLOCK counters.
     """
     _require(n >= 1, f"gnp needs n >= 1, got {n}")
     p = Fraction(p)
@@ -193,12 +201,18 @@ def gnp(n: int, p: Fraction, seed: int) -> tuple[Graph, int]:
         return complete(n), 0
     # r < threshold  <=>  r * den < num * 2^64, for integer r
     threshold = -(-(p.numerator << 64) // p.denominator)
-    iu, ju = np.triu_indices(n, k=1)
-    counters = np.arange(len(iu), dtype=np.uint64)
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * n - rows * (rows + 1) // 2  # counter of pair (i, i + 1)
+    pairs = n * (n - 1) // 2
     for retry in range(GNP_MAX_RETRIES):
-        r = counter_values_np(seed, counters, retry)
-        mask = r < np.uint64(threshold) if threshold > 0 else np.zeros(len(iu), bool)
-        edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+        edges: list[tuple[int, int]] = []
+        for start in range(0, pairs if threshold > 0 else 0, GNP_BLOCK):
+            counters = np.arange(start, min(start + GNP_BLOCK, pairs), dtype=np.uint64)
+            kept = np.flatnonzero(counter_values_np(seed, counters, retry) < np.uint64(threshold))
+            kept += start
+            i = np.searchsorted(offsets, kept, side="right") - 1
+            j = kept - offsets[i] + i + 1
+            edges.extend(zip(i.tolist(), j.tolist()))
         g = Graph(n, edges)
         if validate(g).connected:
             return g, retry

@@ -1,15 +1,29 @@
-"""All-pairs shortest-path distances and the dense distance matrix."""
+"""All-pairs shortest-path distances and the dense distance matrix.
+
+`apsp` first runs one BFS from vertex 0.  An unreached vertex makes the graph
+disconnected; otherwise that BFS depth bounds the diameter (depth <= diam <=
+2 depth) and picks the algorithm.  Shallow graphs take a multi-source
+bit-parallel BFS (`_bitbfs`): 64 sources share a machine word, so one numpy
+pass per level advances every source at once (Akiba, Iwata & Yoshida, SIGMOD
+2013; Then et al., MS-BFS, VLDB 2014).  On deep graphs (paths, long cycles)
+each level carries about one new bit per word and numpy call overhead
+dominates, so they take scipy's per-source Dijkstra (`_dijkstra`), imported
+only there.
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import DisconnectedGraphError
-from .graphs import Graph
+from .graphs import Graph, _bfs_reachable
+
+BITBFS_MAX_DEPTH = 64  # deepest BFS from vertex 0 that the bit-parallel kernel takes
+_BLOCK_CELLS = 1 << 20  # distance cells assembled per row block
+_GATHER_WORDS = 1 << 16  # bitset words gathered at once for a run of equal-count slots
 
 
 @dataclass(frozen=True)
@@ -44,21 +58,111 @@ class DistanceMatrix:
 
 def apsp(g: Graph) -> DistanceMatrix:
     """BFS distances between all vertex pairs; refuses disconnected graphs."""
-    n = g.n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, nbrs in enumerate(g.adjacency):
-        indptr[i + 1] = indptr[i] + len(nbrs)
-    indices = np.fromiter((v for nbrs in g.adjacency for v in nbrs), dtype=np.int64,
+    seen, depth = _bfs_reachable(g, 0)
+    if len(seen) < g.n:
+        raise DisconnectedGraphError(0, next(v for v in range(g.n) if v not in seen))
+    entries = _bitbfs(g) if depth <= BITBFS_MAX_DEPTH else _dijkstra(g)
+    return DistanceMatrix(n=g.n, entries=entries)
+
+
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the adjacency lists."""
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=g.n)
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(g.adjacency), dtype=np.int64,
                           count=int(indptr[-1]))
-    data = np.ones(len(indices), dtype=np.int8)
-    adj = csr_matrix((data, indices, indptr), shape=(n, n))
+    return indptr, indices
+
+
+def _bitbfs(g: Graph) -> np.ndarray:
+    """int64 distances of a connected graph by multi-source bit-parallel BFS.
+
+    Bit s of row v of an (n, ceil(n/64)) uint64 bitset stands for source s
+    at vertex v.  Rows are relabelled by decreasing degree, so the rows that
+    have a j-th neighbour are a prefix and each neighbour slot j is one
+    gather over that prefix.  Each level ORs its new bits into the bit-planes
+    of the level number, from which D is assembled in row blocks; no n^2
+    temporary is made.
+    """
+    n = g.n
+    indptr, indices = _csr(g)
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")  # new row -> vertex
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)  # vertex -> new row
+    words = -(-n // 64)
+    # neighbour rows sorted by (slot, row): slot j lists rows 0..counts[j]-1 in order
+    slot = np.arange(len(indices)) - np.repeat(indptr[:-1], deg)
+    rows = rank[np.repeat(np.arange(n), deg)]
+    nbr = rank[indices][np.lexsort((rows, slot))]
+    # gathers: one slot, or a run of slots with equal counts as a (count, slots) array
+    gathers = []
+    start = 0
+    for count, run in itertools.groupby(np.bincount(slot).tolist()):
+        run = len(list(run))
+        per = min(run, max(1, _GATHER_WORDS // (count * words)))
+        for first in range(0, run, per):
+            k = min(per, run - first)
+            idx = nbr[start:start + k * count]
+            gathers.append(idx if k == 1 else np.ascontiguousarray(idx.reshape(k, count).T))
+            start += k * count
+
+    frontier = np.zeros((n, words), dtype=np.uint64)
+    src = np.arange(n)
+    frontier[rank, src >> 6] = np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
+    unseen = ~frontier
+    planes: list[np.ndarray] = []  # bit k of the level at which each bit was first set
+    level = 0
+    while gathers:
+        nxt = _gather(frontier, gathers[0])  # connected, so every row has a slot 0
+        for idx in gathers[1:]:
+            nxt[:len(idx)] |= _gather(frontier, idx)
+        nxt &= unseen
+        if not np.count_nonzero(nxt):
+            break
+        unseen ^= nxt
+        level += 1
+        if level & (level - 1) == 0:
+            planes.append(nxt.copy())
+        else:
+            for k in range(len(planes)):
+                if level >> k & 1:
+                    planes[k] |= nxt
+        frontier = nxt
+
+    D = np.empty((n, n), dtype=np.int64)
+    dtype = np.min_scalar_type(level)
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):
+        block = rank[r0:r0 + step]
+        acc = np.zeros((len(block), n), dtype=dtype)
+        for k, plane in enumerate(planes):
+            bits = np.unpackbits(plane[block].astype("<u8", copy=False).view(np.uint8),
+                                 axis=1, count=n, bitorder="little").astype(dtype, copy=False)
+            bits <<= k
+            acc |= bits
+        D[r0:r0 + step] = acc
+    return D
+
+
+def _gather(frontier: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """For each row r of idx, the OR of the frontier rows it names (one, or a row of them)."""
+    part = frontier.take(idx, axis=0)
+    return np.bitwise_or.reduce(part, axis=1) if idx.ndim == 2 else part
+
+
+def _dijkstra(g: Graph) -> np.ndarray:
+    """int64 distances of a connected graph by scipy's per-source Dijkstra."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    n = g.n
+    indptr, indices = _csr(g)
+    adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     # adjacency is symmetric, so the directed search gives the same distances;
     # the undirected one also walks the transpose, about 15% slower
-    dist = shortest_path(adj, method="D", unweighted=True, directed=True)
-    if np.isinf(dist).any():
-        i, j = np.argwhere(np.isinf(dist))[0]
-        raise DisconnectedGraphError(int(i), int(j))
-    return DistanceMatrix(n=n, entries=dist.astype(np.int64))
+    return shortest_path(adj, method="D", unweighted=True, directed=True).astype(np.int64)
 
 
 def row_sums(D: DistanceMatrix) -> np.ndarray:

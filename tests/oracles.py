@@ -7,29 +7,41 @@ fraction-free Bareiss, row
 sums in Python instead of one matrix product, scalar instead of vectorized
 SplitMix, one Fraction per measure entry instead of integer numerators over
 one denominator, one transport vector per measure instead of one product per
-block of measures) so agreement is meaningful.
+block of measures) so agreement is meaningful.  Where a fast path kept the
+library's arithmetic and changed only its memory use or its sharing of work
+(the upper-triangle gnp draw, the float LU on a copy, the game basis solved
+with one inverse mod p per system), the replaced code is kept here verbatim
+and must give identical results.
 """
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linprog
 
 from graphcurv import (
     CurvatureSolution,
     DistanceMatrix,
+    FloatSolution,
     Graph,
+    GraphInputError,
     HardVerificationError,
     Measure,
     MeasureRecord,
     SolveStatus,
     VerificationReport,
+    complete,
     curvature_bound,
     transport_vector,
+    validate,
 )
+from graphcurv.curvature import FLOAT_PIVOT_FLOOR, bareiss_solve, dixon_solve
+from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
 from graphcurv.verifier import BATTERY_PAIR_LIMIT
@@ -277,3 +289,78 @@ def solve_system_fraction(
         w[col] = s / row[col]
     status = SolveStatus.UNIQUE if rank == n else SolveStatus.UNDERDETERMINED
     return status, n - rank, tuple(w)
+
+
+def gnp_triu(n: int, p: Fraction, seed: int) -> tuple[Graph, int]:
+    """Connected G(n, p) and its retry count, drawing every coin at once.
+
+    This was the library's generator before the blocked draw replaced it:
+    np.triu_indices numbers the pairs, and all counters and their hashes
+    are held together.
+    """
+    p = Fraction(p)
+    if p == 1:
+        return complete(n), 0
+    threshold = -(-(p.numerator << 64) // p.denominator)
+    iu, ju = np.triu_indices(n, k=1)
+    counters = np.arange(len(iu), dtype=np.uint64)
+    for retry in range(GNP_MAX_RETRIES):
+        r = counter_values_np(seed, counters, retry)
+        mask = r < np.uint64(threshold) if threshold > 0 else np.zeros(len(iu), bool)
+        g = Graph(n, list(zip(iu[mask].tolist(), ju[mask].tolist())))
+        if validate(g).connected:
+            return g, retry
+    raise GraphInputError(f"gnp({n}, {p}, seed={seed}) failed to produce a connected graph")
+
+
+def solve_curvature_float_copied(D: DistanceMatrix) -> FloatSolution | None:
+    """The float LU solve on a C-order copy that LU copies again; None if singular.
+
+    This was the library's float solver before it factored in place: the
+    residual is taken from the whole float matrix at once.
+    """
+    n = D.n
+    A = D.entries.astype(np.float64)
+    rhs = np.full(n, float(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(A)
+    u_diag = np.abs(np.diagonal(lu))
+    if u_diag.min() < FLOAT_PIVOT_FLOOR * n:
+        return None
+    w = scipy.linalg.lu_solve((lu, piv), rhs)
+    residual = float(np.abs(A @ w - rhs).max())
+    cond_hint = float(u_diag.min() / A.max()) if n > 1 else 1.0
+    return FloatSolution(w=w, residual_inf=residual, condition_hint=cond_hint)
+
+
+def basis_pair_two_inverses(
+    M: np.ndarray, basis: list[int]
+) -> tuple[list[Fraction], list[Fraction]] | None:
+    """`graphcurv.game._basis_pair` with B and B^T each lifted on its own inverse mod p.
+
+    This was the library's basis solve before one inverse served both.
+    """
+    n = len(M)
+    cols = [j for j in basis if j < n]
+    slack_rows = {j - n for j in basis if j >= n}
+    rows = [i for i in range(n) if i not in slack_rows]
+    B = M[np.ix_(rows, cols)]
+    pair = []
+    for A in (B, B.T):
+        ones = [1] * len(A)
+        lifted = dixon_solve(A, ones)
+        if lifted is None:
+            piv, num, den = bareiss_solve(A.tolist(), ones)
+            if len(piv) < len(A):
+                return None
+            lifted = num, den
+        pair.append(lifted)
+    (z, den), (pi, pi_den) = pair
+    y = [Fraction(0)] * n
+    for j, zj in zip(cols, z):
+        y[j] = Fraction(zj, den)
+    duals = [Fraction(0)] * n
+    for i, pj in zip(rows, pi):
+        duals[i] = Fraction(pj, pi_den)
+    return y, duals

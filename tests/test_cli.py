@@ -224,11 +224,40 @@ def test_output_matches_golden(capsys, command, spec, seed):
     assert out == expected
 
 
-def test_cli_import_does_not_load_scipy_optimize():
+def run_probe(probe: str) -> str:
     src = Path(graphcurv.__file__).resolve().parent.parent
     path_entries = filter(None, [str(src), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-    probe = "import sys, graphcurv.cli; print('scipy.optimize' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                            timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+                            timeout=120, check=True)
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    probe = ("import sys, graphcurv.cli; print('scipy.optimize' in sys.modules, "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_probe(probe) == "False []"
+
+
+SCIPY_BLOCKED = """
+import contextlib, io, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked: " + name)
+
+sys.meta_path.insert(0, BlockScipy())
+from graphcurv.cli import main
+
+codes = []
+for spec in ("path:60", "cycle:40", "grid:8,10", "gnp:120,1/12"):
+    for command in ("report", "verify"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main([command, "--input", spec, "--seed", "1", "--format", "json"]))
+print(codes)
+"""
+
+
+def test_report_and_verify_run_without_scipy():
+    assert run_probe(SCIPY_BLOCKED) == str([0] * 8)

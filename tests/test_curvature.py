@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from graphcurv import (
     gnp,
     grid,
     hypercube,
+    parse_generator_spec,
     path,
     solve_curvature,
     solve_curvature_float,
@@ -25,7 +27,12 @@ from graphcurv import (
 )
 from graphcurv import curvature
 from graphcurv.curvature import bareiss_solve, dixon_solve
-from oracles import solve_curvature_fraction, solve_system_fraction, solve_system_fraction_lstsq
+from oracles import (
+    solve_curvature_float_copied,
+    solve_curvature_fraction,
+    solve_system_fraction,
+    solve_system_fraction_lstsq,
+)
 
 
 def solved(g):
@@ -174,6 +181,32 @@ class TestFloatSolver:
             lu, _ = scipy.linalg.lu_factor(A)
             old = float(np.abs(np.diagonal(lu)).min() / np.abs(A).max())
             assert solve_curvature_float(D).condition_hint == old, g
+
+    @pytest.mark.parametrize("spec", ["path:9", "cycle:11", "complete:6", "gnp:30,1/3", "path:300",
+                                      "cycle:301", "star:513", "gnp:600,1/60", "hypercube:4"])
+    def test_matches_copied_reference(self, spec):
+        # the in-place factorization and the blocked residual change no bit
+        D = apsp(parse_generator_spec(spec, seed=3))
+        expected = solve_curvature_float_copied(D)
+        if expected is None:
+            with pytest.raises(NumericallySingularError):
+                solve_curvature_float(D)
+            return
+        fs = solve_curvature_float(D)
+        assert fs.w.tobytes() == expected.w.tobytes()
+        assert (fs.residual_inf, fs.condition_hint) == (expected.residual_inf,
+                                                        expected.condition_hint)
+
+    def test_one_float_matrix(self):
+        solve_curvature_float(apsp(path(3)))  # the lazy scipy import is not measured
+        D = apsp(gnp(800, Fraction(1, 80), 1)[0])
+        tracemalloc.start()
+        try:
+            solve_curvature_float(D)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * D.n ** 2  # the copy LU made of a C-order matrix took 2x
 
     def test_singular_matrix_refused(self):
         # hypercube distance matrices have rank d+1 << 2^d

@@ -24,8 +24,8 @@ from graphcurv import (
     transport_vector,
     verify_minimax,
 )
-from graphcurv import game
-from oracles import game_value_float
+from graphcurv import curvature, game
+from oracles import basis_pair_two_inverses, game_value_float
 
 
 class TestFixtures:
@@ -334,7 +334,9 @@ class TestForcedFallback:
         M = apsp(hypercube(3)).entries + 1
         assert game._basis_pair(M, list(range(8))) is None
 
-    def test_basis_pair_falls_back_to_bareiss(self, monkeypatch):
+    @staticmethod
+    def bareiss_calls(monkeypatch, name, fake):
+        """Sizes of the Bareiss solves of cycle:39's basis with game.<name> faked."""
         M = apsp(cycle(39)).entries + 1
         basis = game._float_basis(M, True)
         expected = game._basis_pair(M, basis)
@@ -345,10 +347,17 @@ class TestForcedFallback:
             calls.append(len(A))
             return bareiss(A, b)
 
-        monkeypatch.setattr(game, "dixon_solve", lambda A, b: None)
+        monkeypatch.setattr(game, name, fake)
         monkeypatch.setattr(game, "bareiss_solve", counted)
         assert game._basis_pair(M, basis) == expected
+        return calls
+
+    def test_basis_pair_falls_back_to_bareiss(self, monkeypatch):
+        calls = self.bareiss_calls(monkeypatch, "dixon_inverse", lambda A, beta: None)
         assert calls == [39, 39]  # B and B^T, the full-support basis of an odd cycle
+
+    def test_lift_cap_falls_back_to_bareiss(self, monkeypatch):
+        assert self.bareiss_calls(monkeypatch, "dixon_lift", lambda A, C, b: None) == [39, 39]
 
     def test_pivot_cap(self, monkeypatch):
         M = apsp(cycle(7)).entries + 1
@@ -357,6 +366,39 @@ class TestForcedFallback:
         monkeypatch.setattr(game, "FLOAT_PIVOT_CAP", 1)
         for dantzig in (True, False):
             assert game._float_basis(M, dantzig) is None
+
+
+class TestBasisPair:
+    """The basis and its transpose lifted on one inverse mod p."""
+
+    SPECS = ["gnp:20,1/4", "gnp:22,1/4", "gnp:24,1/4", "gnp:26,1/4", "hypercube:5", "cycle:39",
+             "grid:5,8", "star:40", "path:40", "cycle:40", "complete:40", "cycle:201"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_two_inverses(self, spec):
+        M = apsp(parse_generator_spec(spec, seed=1)).entries + 1
+        bases = [game._float_basis(M, dantzig) for dantzig in (True, False)]
+        bases = [b for b in bases if b is not None]
+        assert bases
+        for basis in bases:
+            assert game._basis_pair(M, basis) == basis_pair_two_inverses(M, basis)
+
+    @pytest.mark.parametrize("spec,size", [("cycle:39", 39), ("gnp:120,1/12", 18)])
+    def test_one_inverse(self, spec, size, monkeypatch):
+        # cycle:39's full-support basis is symmetric, gnp:120,1/12's is not
+        M = apsp(parse_generator_spec(spec, seed=1)).entries + 1
+        basis = game._float_basis(M, True)
+        calls = []
+        inverse = curvature._inverse_mod
+
+        def counted(A, p):
+            calls.append(len(A))
+            return inverse(A, p)
+
+        monkeypatch.setattr(curvature, "_inverse_mod", counted)
+        monkeypatch.setattr(game, "bareiss_solve", lambda A, b: pytest.fail("lifting gave up"))
+        assert game._basis_pair(M, basis) is not None
+        assert calls == [size]
 
 
 def test_comparison_reuses_given_game_solution(monkeypatch):

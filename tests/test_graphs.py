@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from graphcurv import (
     star,
     validate,
 )
+from oracles import gnp_triu
 
 
 class TestParsing:
@@ -138,6 +140,34 @@ class TestGnp:
     def test_p_zero_fails_for_two_vertices(self):
         with pytest.raises(GraphInputError, match="failed to produce a connected graph"):
             gnp(2, Fraction(0), 0)
+
+    @pytest.mark.parametrize("n,p,seed", [
+        (1, Fraction(0), 0), (2, Fraction(1, 2), 0), (2, Fraction(1), 3), (5, Fraction(1), 0),
+        (8, Fraction(1, 4), 3), (12, Fraction(1, 3), 5), (40, Fraction(1, 5), 7),
+        (120, Fraction(1, 12), 11), (400, Fraction(1, 40), 2), (730, Fraction(2, 3), 1),
+        (1000, Fraction(1, 100), 1),
+    ])
+    def test_matches_triu_reference(self, n, p, seed):
+        # same graph and retry count as the all-at-once draw; n = 1000 spans two blocks
+        assert gnp(n, p, seed) == gnp_triu(n, p, seed)
+
+    def test_retries_match_triu_reference(self):
+        for seed in range(30):
+            try:
+                expected = gnp_triu(8, Fraction(1, 4), seed)
+            except GraphInputError:
+                continue
+            assert gnp(8, Fraction(1, 4), seed) == expected
+
+    def test_peak_memory(self):
+        # the all-at-once draw peaked at 76 MB here
+        tracemalloc.start()
+        try:
+            gnp(2000, Fraction(1, 200), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_retry_until_connected(self):
         # sparse enough that some draws are disconnected but retries succeed

@@ -1,7 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from graphcurv import (
@@ -14,6 +18,7 @@ from graphcurv import (
     gnp,
     grid,
     hypercube,
+    parse_generator_spec,
     path,
     row_sums,
     star,
@@ -119,13 +124,16 @@ def test_disconnected_refused_with_named_pair():
 
 def apsp_reaches(g, source):
     from graphcurv.graphs import _bfs_reachable
-    return frozenset(_bfs_reachable(g, source))
+    return frozenset(_bfs_reachable(g, source)[0])
 
 
 def test_directed_search_matches_undirected(monkeypatch):
     # apsp searches the symmetric adjacency as directed; the undirected
-    # search must give the same matrix and name the same unreachable pair
-    graphs = family_graphs_up_to(16) + [gnp(6 + s % 27, Fraction(1, 3), s)[0] for s in range(20)]
+    # search must give the same matrix and name the same unreachable pair.
+    # Only graphs deeper than BITBFS_MAX_DEPTH reach scipy's search.
+    deep = [path(66), path(90), cycle(131), cycle(150), grid(2, 70), grid(3, 70)]
+    graphs = (family_graphs_up_to(16) + [gnp(6 + s % 27, Fraction(1, 3), s)[0] for s in range(20)]
+              + deep)
     disconnected = [Graph(4, [(0, 1), (2, 3)]), Graph(6, [(0, 5), (1, 2), (2, 3)]), Graph(3, [])]
     directed = [apsp(g).entries for g in graphs]
     directed_errors = []
@@ -133,11 +141,115 @@ def test_directed_search_matches_undirected(monkeypatch):
         with pytest.raises(DisconnectedGraphError) as exc:
             apsp(g)
         directed_errors.append(exc.value.unreachable_pair)
-    monkeypatch.setattr(metric, "shortest_path",
-                        lambda *args, **kw: shortest_path(*args, **{**kw, "directed": False}))
+    searched = []
+
+    def undirected(*args, **kw):
+        searched.append(args[0].shape[0])
+        return shortest_path(*args, **{**kw, "directed": False})
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", undirected)
     for g, entries in zip(graphs, directed):
         assert np.array_equal(apsp(g).entries, entries), g
+    assert searched == [g.n for g in deep]
     for g, pair in zip(disconnected, directed_errors):
         with pytest.raises(DisconnectedGraphError) as exc:
             apsp(g)
         assert exc.value.unreachable_pair == pair
+
+
+def first_infinite_pair(g):
+    """The row-major first unreachable pair of scipy's distance matrix."""
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in g.adjacency])
+    indices = [v for nbrs in g.adjacency for v in nbrs]
+    adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
+    dist = shortest_path(adj, unweighted=True)
+    i, j = np.argwhere(np.isinf(dist))[0]
+    return int(i), int(j)
+
+
+class TestBranches:
+    """The bit-parallel BFS and scipy's Dijkstra, each called directly."""
+
+    @staticmethod
+    def assert_both(g, reference=None):
+        bit, dijkstra = metric._bitbfs(g), metric._dijkstra(g)
+        assert bit.dtype == dijkstra.dtype == np.int64
+        assert np.array_equal(bit, dijkstra), g
+        if reference is not None:
+            assert np.array_equal(bit, reference.astype(np.int64)), g
+
+    def test_families_against_floyd_warshall(self):
+        for g in family_graphs_up_to(32):
+            self.assert_both(g, floyd_warshall(g))
+
+    def test_gnp_against_floyd_warshall(self):
+        for seed in range(100):
+            g, _ = gnp(4 + seed % 61, Fraction(1, 2 + seed % 7), seed)  # n = 4..64
+            self.assert_both(g, floyd_warshall(g))
+
+    @pytest.mark.parametrize("spec", ["cycle:300", "path:200", "star:300", "complete:200"])
+    def test_large_against_floyd_warshall(self, spec):
+        g = parse_generator_spec(spec)
+        self.assert_both(g, floyd_warshall(g))
+
+    def test_grid(self):
+        self.assert_both(grid(40, 40))
+
+    def test_word_boundaries(self):
+        # bitset rows of one, two and three words, full and partial
+        for n in (63, 64, 65, 127, 128, 129):
+            self.assert_both(gnp(n, Fraction(1, 8), n)[0])
+
+    @pytest.mark.parametrize("spec,branch", [
+        ("gnp:1000,1/100", "_bitbfs"),
+        ("gnp:1500,1/150", "_bitbfs"),
+        ("gnp:2000,1/200", "_bitbfs"),
+        ("hypercube:10", "_bitbfs"),
+        ("path:65", "_bitbfs"),  # BFS depth 64 from vertex 0
+        ("path:66", "_dijkstra"),
+        ("path:1500", "_dijkstra"),
+        ("cycle:1000", "_dijkstra"),
+    ])
+    def test_branch_choice(self, spec, branch, monkeypatch):
+        calls = []
+        for name in ("_bitbfs", "_dijkstra"):
+            monkeypatch.setattr(metric, name,
+                                lambda g, name=name: calls.append(name) or np.zeros((g.n, g.n), np.int64))
+        for seed in (1, 2):
+            apsp(parse_generator_spec(spec, seed=seed))
+        assert calls == [branch, branch]
+
+    def test_kernel_peak_memory(self):
+        g, _ = gnp(1000, Fraction(1, 100), 1)
+        tracemalloc.start()
+        try:
+            apsp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * g.n ** 2
+
+
+class TestDisconnectedPair:
+    """apsp names the pair of scipy's first infinite distance."""
+
+    GRAPHS = [Graph(4, [(0, 1), (2, 3)]), Graph(6, [(0, 5), (1, 2), (2, 3)]), Graph(3, []),
+              Graph(5, [(1, 2), (2, 3), (3, 4)]), Graph(70, [(i, i + 1) for i in range(68)])]
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_fixed_graphs(self, g):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            apsp(g)
+        assert exc.value.unreachable_pair == first_infinite_pair(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 14).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    def test_drawn_graphs(self, drawn):
+        n, pairs = drawn
+        g = Graph(n, [(u, v) for u, v in pairs if u != v])
+        if len(apsp_reaches(g, 0)) == n:
+            return  # connected draws are covered by the equality tests
+        with pytest.raises(DisconnectedGraphError) as exc:
+            apsp(g)
+        assert exc.value.unreachable_pair == first_infinite_pair(g)

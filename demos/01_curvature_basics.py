@@ -19,7 +19,7 @@ for name, g in [
 ]:
     D = apsp(g)
     print(f"== {name}  (n = {g.n}, m = {g.m})")
-    for row in D.row_lists():
+    for row in D.entries.tolist():
         print("   ", row)
     sol = solve_curvature(D)
     print("  status:", sol.status.value)

@@ -147,7 +147,7 @@ def _cmd_gen(args) -> int:
 def _cmd_dist(args) -> int:
     g = _load_graph(args)
     D = apsp(g)
-    rows = D.row_lists()
+    rows = D.entries.tolist()
     if args.format == "csv":
         for row in rows:
             print(",".join(str(x) for x in row))

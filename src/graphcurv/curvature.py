@@ -266,7 +266,7 @@ def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
         num, den = lifted
         rank = n  # an inverse mod p proves det D != 0
     else:
-        piv_cols, num, den = bareiss_solve(D.row_lists(), b)
+        piv_cols, num, den = bareiss_solve(D.entries.tolist(), b)
         rank = len(piv_cols)
         if num is None:
             return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)

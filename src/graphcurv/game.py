@@ -22,11 +22,12 @@ The solve is exact at close to float cost, in the manner of QSopt_ex
      optimality certificates below and an exact uniqueness check
      (`_unique_optimum`): a unique optimum is the one Bland's rule reaches
      too, so the answer does not depend on the rule;
-  3. otherwise the Bland simplex replays in float64 and its final basis is
-     solved and certified the same way, without the uniqueness check;
+  3. otherwise the same loop, Bland's rule, runs in float64 and its final
+     basis is solved and certified the same way, without the uniqueness
+     check;
   4. if that fails too (pivot cap, singular basis, rejected certificate),
-     the Bland simplex runs again in exact rational arithmetic, which is
-     slow but always terminates.
+     the same loop, Bland's rule, runs on Fractions: slow, but it always
+     terminates, and its basis is solved and certified like the others.
 Either way, both certificates are re-verified before a solution is
 returned:
     min_u (D . maximin)_u  =  value  =  max_u (D^T . minimax)_u
@@ -35,6 +36,7 @@ exactly, or the solver refuses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,19 +82,23 @@ def game_value(D: DistanceMatrix) -> GameSolution:
         raise ValueError("game needs at least one vertex")
     M = D.entries + 1  # shifted payoffs, all >= 1
 
-    for dantzig in (True, False):
-        basis = _float_basis(M, dantzig)
-        if basis is None:
-            continue
-        pair = _basis_pair(M, basis)
-        if pair is None:
-            continue
+    # float Dantzig, float Bland, exact Bland: a failed float run hands over
+    # to the next one, and the exact run's failure is the solver's
+    for dantzig, exact in ((True, False), (False, False), (False, True)):
+        payoffs = np.array([[Fraction(x) for x in row] for row in M.tolist()]) if exact else M
         try:
+            basis = _simplex_basis(payoffs, dantzig)
+            if basis is None:  # or a float run's pivot cap
+                raise HardVerificationError(
+                    "unbounded LP in game reduction; payoff shift is broken")
+            pair = _basis_pair(M, basis)
+            if pair is None:
+                raise HardVerificationError("simplex ended on a singular basis")
             # a Dantzig basis stands in for Bland's only when its optimum is unique
             return _certified(D, *pair, basis if dantzig else None)
         except HardVerificationError:
-            pass  # the next run decides
-    return _certified(D, *_simplex_bland([[Fraction(x) for x in row] for row in M.tolist()]))
+            if exact:
+                raise
 
 
 def _certified(
@@ -213,97 +219,57 @@ def search_lower_violation(
     return game.maximin_strategy
 
 
-def _simplex_bland(M: list[list[Fraction]]) -> tuple[list[Fraction], list[Fraction]]:
-    """Primal simplex on: max sum(y) s.t. M y <= 1, y >= 0, entries of M > 0.
+def _simplex_basis(M: np.ndarray, dantzig: bool) -> list[int] | None:
+    """Final basis of the primal simplex on: max sum(y) s.t. M y <= 1, y >= 0.
 
-    The slack basis is feasible (b = 1 > 0) and the feasible set is bounded,
-    so Bland's rule terminates at an optimum.  Returns the primal solution y
-    and the dual solution read off the slack columns' reduced costs.
+    M > 0 entrywise, so the slack basis is feasible and the feasible set
+    bounded.  The tableau has n rows over the columns [y | slacks | b].  The
+    entering column is the one with the largest reduced cost (Dantzig) or
+    the lowest index with a positive one (Bland); the leaving row has the
+    least ratio, ties going to the lowest basis index.
+
+    M's dtype sets the arithmetic.  A numeric M runs in float64: reduced
+    costs and pivot column entries within FLOAT_TOL of zero count as zero,
+    ratios within FLOAT_TOL (relative above 1) of the least one tie, and the
+    run gives up with None after FLOAT_PIVOT_CAP pivots.  An object array of
+    Fractions runs exactly, with tolerance 0 and no cap: Bland's rule
+    terminates (Bland 1977).  Either run returns None when no row can leave.
+    A Dantzig run also returns None unless its final tableau looks
+    nondegenerate (`_nondegenerate`), as a unique optimum needs.  Nothing
+    here is trusted: the caller solves the basis exactly and certifies it.
     """
     n = len(M)
-    # tableau: n constraint rows over columns [y_0..y_{n-1}, s_0..s_{n-1} | b]
-    T = [[M[i][j] for j in range(n)]
-         + [Fraction(int(i == k)) for k in range(n)]
-         + [Fraction(1)]
-         for i in range(n)]
-    cost = [Fraction(1)] * n + [Fraction(0)] * (n + 1)  # reduced costs; last entry = -objective
-    basis = list(range(n, 2 * n))
-
-    while True:
-        enter = next((j for j in range(2 * n) if cost[j] > 0), None)  # Bland: lowest index
-        if enter is None:
-            break
-        leave, best_ratio = -1, None
-        for i in range(n):
-            a = T[i][enter]
-            if a > 0:
-                ratio = T[i][2 * n] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
-                ):
-                    leave, best_ratio = i, ratio
-        if leave < 0:
-            raise HardVerificationError("unbounded LP in game reduction; payoff shift is broken")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(n):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, T[leave])]
-        basis[leave] = enter
-
-    y = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            y[bi] = T[i][2 * n]
-    duals = [-cost[n + i] for i in range(n)]
-    return y, duals
-
-
-def _float_basis(M: np.ndarray, dantzig: bool) -> list[int] | None:
-    """Final basis of a float64 simplex on `_simplex_bland`'s tableau.
-
-    The entering column is the one with the largest reduced cost (Dantzig)
-    or the lowest index with a positive one (Bland, `_simplex_bland`'s own
-    pivot sequence).  A reduced cost or pivot column entry within FLOAT_TOL
-    of zero counts as zero, and ratios within FLOAT_TOL of the least one tie
-    and go to the lowest basis index, as in the exact path.  Returns None
-    after FLOAT_PIVOT_CAP pivots, or when no row can leave.  A Dantzig run
-    also returns None unless its final tableau looks nondegenerate: every
-    basic value above FLOAT_TOL and every nonbasic reduced cost below
-    -FLOAT_TOL, as a unique optimum needs.  Nothing here is trusted: the
-    caller solves the basis exactly and certifies it.
-    """
-    n = len(M)
-    T = np.zeros((n, 2 * n + 1))
+    exact = M.dtype == object
+    tol = 0 if exact else FLOAT_TOL
+    # int 0 and 1 beside M's Fractions: the first pivot divides by a Fraction,
+    # after which every exact entry is one, so no int / int makes a float
+    T = np.zeros((n, 2 * n + 1), dtype=object if exact else np.float64)
     T[:, :n] = M
-    T[:, n:2 * n] = np.eye(n)
-    T[:, 2 * n] = 1.0
-    cost = np.zeros(2 * n + 1)
-    cost[:n] = 1.0
+    T[:, n:2 * n] = np.eye(n, dtype=np.int64)
+    T[:, 2 * n] = 1
+    cost = np.zeros(2 * n + 1, dtype=T.dtype)
+    cost[:n] = 1
     basis = np.arange(n, 2 * n)
-    for _ in range(FLOAT_PIVOT_CAP):
+    for _ in itertools.count() if exact else range(FLOAT_PIVOT_CAP):
         if dantzig:
             enter = int(np.argmax(cost[:2 * n]))
-            if cost[enter] <= FLOAT_TOL:
+            if cost[enter] <= tol:
                 return basis.tolist() if _nondegenerate(T[:, 2 * n], cost, basis) else None
         else:
-            entering = np.flatnonzero(cost[:2 * n] > FLOAT_TOL)
+            entering = np.flatnonzero(cost[:2 * n] > tol)
             if entering.size == 0:
                 return basis.tolist()
             enter = entering[0]
-        rows = np.flatnonzero(T[:, enter] > FLOAT_TOL)
+        rows = np.flatnonzero(T[:, enter] > tol)
         if rows.size == 0:
             return None
         ratios = T[rows, 2 * n] / T[rows, enter]
         best = ratios.min()
-        tied = rows[ratios <= best + FLOAT_TOL * max(1.0, best)]
+        tied = rows[ratios <= best + tol * max(1, best)]
         leave = tied[np.argmin(basis[tied])]
         T[leave] /= T[leave, enter]
         f = T[:, enter].copy()
-        f[leave] = 0.0
+        f[leave] = 0
         T -= np.outer(f, T[leave])
         cost -= cost[enter] * T[leave]
         basis[leave] = enter
@@ -320,7 +286,7 @@ def _nondegenerate(b: np.ndarray, cost: np.ndarray, basis: np.ndarray) -> bool:
 def _basis_pair(
     M: np.ndarray, basis: list[int]
 ) -> tuple[list[Fraction], list[Fraction]] | None:
-    """Exact primal y and duals of a basis of `_simplex_bland`'s tableau.
+    """Exact primal y and duals of a basis of `_simplex_basis`'s tableau.
 
     They solve B z = 1 and B^T pi = c_B.  A basic slack s has z on its own
     row and pi_s = 0, so both reduce to the square system on the basic y

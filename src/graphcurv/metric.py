@@ -45,15 +45,13 @@ class DistanceMatrix:
             raise ValueError(f"entries must be int64, got {e.dtype}")
         if np.diagonal(e).any():
             raise ValueError("distance matrix must have zero diagonal")
-        if not np.array_equal(e, e.T):
+        # the upper triangle against the lower, 256 rows at a time: no n^2 temporary
+        if not all(np.array_equal(e[r:r + 256, r:], e[r:, r:r + 256].T)
+                   for r in range(0, self.n, 256)):
             raise ValueError("distance matrix must be symmetric")
-        if (e < 0).any():
+        if e.min(initial=0) < 0:
             raise ValueError("distances must be non-negative")
         e.flags.writeable = False
-
-    def row_lists(self) -> list[list[int]]:
-        """Rows as plain Python ints, for exact arithmetic consumers."""
-        return self.entries.tolist()
 
 
 def apsp(g: Graph) -> DistanceMatrix:

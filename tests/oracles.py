@@ -10,8 +10,9 @@ one denominator, one transport vector per measure instead of one product per
 block of measures) so agreement is meaningful.  Where a fast path kept the
 library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
-with one inverse mod p per system), the replaced code is kept here verbatim
-and must give identical results.
+with one inverse mod p per system, the exact Bland simplex on its own
+list-of-Fractions tableau), the replaced code is kept here verbatim and must
+give identical results.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def transport_vector_rowsum(D: DistanceMatrix, P: Measure) -> tuple[Fraction, ..
     den = lcm(*(x.denominator for x in P.p))
     q = [int(x * den) for x in P.p]
     return tuple(
-        Fraction(sum(d * qv for d, qv in zip(row, q) if qv), den) for row in D.row_lists()
+        Fraction(sum(d * qv for d, qv in zip(row, q) if qv), den) for row in D.entries.tolist()
     )
 
 
@@ -236,7 +237,7 @@ def solve_curvature_fraction(
 
     This was the library's exact solver before the fraction-free one replaced it.
     """
-    return solve_system_fraction(D.row_lists(), [D.n] * D.n)
+    return solve_system_fraction(D.entries.tolist(), [D.n] * D.n)
 
 
 def solve_system_fraction(
@@ -363,4 +364,56 @@ def basis_pair_two_inverses(
     duals = [Fraction(0)] * n
     for i, pj in zip(rows, pi):
         duals[i] = Fraction(pj, pi_den)
+    return y, duals
+
+
+def simplex_bland_fraction(M: list[list[Fraction]]) -> tuple[list[Fraction], list[Fraction]]:
+    """Primal simplex on: max sum(y) s.t. M y <= 1, y >= 0, entries of M > 0.
+
+    The slack basis is feasible (b = 1 > 0) and the feasible set is bounded,
+    so Bland's rule terminates at an optimum.  Returns the primal solution y
+    and the dual solution read off the slack columns' reduced costs.
+
+    This was the library's exact game fallback, with its own tableau, before
+    `graphcurv.game._simplex_basis` ran the float simplex's loop on Fractions.
+    """
+    n = len(M)
+    # tableau: n constraint rows over columns [y_0..y_{n-1}, s_0..s_{n-1} | b]
+    T = [[M[i][j] for j in range(n)]
+         + [Fraction(int(i == k)) for k in range(n)]
+         + [Fraction(1)]
+         for i in range(n)]
+    cost = [Fraction(1)] * n + [Fraction(0)] * (n + 1)  # reduced costs; last entry = -objective
+    basis = list(range(n, 2 * n))
+
+    while True:
+        enter = next((j for j in range(2 * n) if cost[j] > 0), None)  # Bland: lowest index
+        if enter is None:
+            break
+        leave, best_ratio = -1, None
+        for i in range(n):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][2 * n] / a
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leave]
+                ):
+                    leave, best_ratio = i, ratio
+        if leave < 0:
+            raise HardVerificationError("unbounded LP in game reduction; payoff shift is broken")
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        for i in range(n):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, T[leave])]
+        basis[leave] = enter
+
+    y = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            y[bi] = T[i][2 * n]
+    duals = [-cost[n + i] for i in range(n)]
     return y, duals

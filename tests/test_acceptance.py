@@ -93,7 +93,7 @@ def test_criterion_1_exact_system_check(instances):
         if sol.status is SolveStatus.INCONSISTENT:
             failures.append(f"{name}: inconsistent system")
             continue
-        for row in D.row_lists():
+        for row in D.entries.tolist():
             if sum(Fraction(d) * w for d, w in zip(row, sol.w)) != g.n:
                 failures.append(f"{name}: nonzero residual")
                 break

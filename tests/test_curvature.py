@@ -112,7 +112,7 @@ class TestStatusClassification:
     def test_underdetermined_particular_solution_still_solves(self):
         D, sol = solved(hypercube(3))
         assert sol.status is SolveStatus.UNDERDETERMINED
-        rows = D.row_lists()
+        rows = D.entries.tolist()
         for row in rows:
             assert sum(Fraction(d) * w for d, w in zip(row, sol.w)) == 8
 
@@ -129,7 +129,7 @@ class TestExactResidual:
             D, sol = apsp(g), None
             sol = solve_curvature(D)
             assert sol.status is not SolveStatus.INCONSISTENT, g
-            for row in D.row_lists():
+            for row in D.entries.tolist():
                 assert sum(Fraction(d) * w for d, w in zip(row, sol.w)) == g.n
 
 
@@ -325,7 +325,7 @@ class TestDixonLifting:
         D = apsp(g)
         n = g.n
         num, den = dixon_solve(D.entries, [n] * n)
-        piv_cols, b_num, b_den = bareiss_solve(D.row_lists(), [n] * n)
+        piv_cols, b_num, b_den = bareiss_solve(D.entries.tolist(), [n] * n)
         assert len(piv_cols) == n
         assert [Fraction(x, den) for x in num] == [Fraction(x, b_den) for x in b_num]
 

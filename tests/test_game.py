@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from graphcurv import (
     verify_minimax,
 )
 from graphcurv import curvature, game
-from oracles import basis_pair_two_inverses, game_value_float
+from oracles import basis_pair_two_inverses, game_value_float, simplex_bland_fraction
 
 
 class TestFixtures:
@@ -140,32 +141,55 @@ class TestCurvatureComparison:
             assert report.lower_failures == 1
 
 
-def bland_only(D, monkeypatch):
-    """game_value with both float runs switched off: the exact Bland path."""
+def is_exact(M):
+    """Whether a `_simplex_basis` call is the exact run, on Fractions."""
+    return M.dtype == object
+
+
+def fraction_rows(M):
+    return [[Fraction(x) for x in row] for row in M.tolist()]
+
+
+def bland_only(D):
+    """The reference exact Bland simplex's answer, certified."""
+    return game._certified(D, *simplex_bland_fraction(fraction_rows(D.entries + 1)))
+
+
+@functools.cache
+def bland_spec(spec, seed):
+    """`bland_only` of a generator spec, solved once per test run."""
+    return bland_only(apsp(parse_generator_spec(spec, seed=seed)))
+
+
+def exact_only(D, monkeypatch):
+    """game_value with both float runs switched off: the exact Bland run."""
+    simplex = game._simplex_basis
     with monkeypatch.context() as m:
-        m.setattr(game, "_float_basis", lambda M, dantzig: None)
+        m.setattr(game, "_simplex_basis",
+                  lambda M, dantzig: simplex(M, dantzig) if is_exact(M) else None)
         return game_value(D)
 
 
 def bland_float_only(D, monkeypatch):
     """game_value with the Dantzig run switched off: the float Bland basis, certified."""
-    float_basis = game._float_basis
+    simplex = game._simplex_basis
     with monkeypatch.context() as m:
-        m.setattr(game, "_float_basis", lambda M, dantzig: None if dantzig else float_basis(M, False))
+        m.setattr(game, "_simplex_basis", lambda M, dantzig: None if dantzig else simplex(M, False))
         return game_value(D)
 
 
 def spy_runs(monkeypatch):
     """Record (dantzig, basis found) for every float run game_value makes."""
     runs = []
-    float_basis = game._float_basis
+    simplex = game._simplex_basis
 
     def spy(M, dantzig):
-        basis = float_basis(M, dantzig)
-        runs.append((dantzig, basis is not None))
+        basis = simplex(M, dantzig)
+        if not is_exact(M):
+            runs.append((dantzig, basis is not None))
         return basis
 
-    monkeypatch.setattr(game, "_float_basis", spy)
+    monkeypatch.setattr(game, "_simplex_basis", spy)
     return runs
 
 
@@ -173,7 +197,7 @@ def raw_dantzig_basis(M, monkeypatch):
     """The Dantzig run's final basis with its nondegeneracy screen switched off."""
     with monkeypatch.context() as m:
         m.setattr(game, "_nondegenerate", lambda *args: True)
-        return game._float_basis(M, True)
+        return game._simplex_basis(M, True)
 
 
 def tight_sets(D, sol):
@@ -192,15 +216,15 @@ class TestCertifiedBasisAgainstBland:
 
     @pytest.mark.parametrize("spec", REPORT_SMALL_FAMILIES
                              + [f"gnp:{n},1/4" for n in (20, 22, 24, 26)])
-    def test_report_families(self, spec, monkeypatch):
+    def test_report_families(self, spec):
         D = apsp(parse_generator_spec(spec, seed=1))
-        assert game_value(D) == bland_only(D, monkeypatch)
+        assert game_value(D) == bland_spec(spec, 1)
 
-    def test_gnp_seeds(self, monkeypatch):
+    def test_gnp_seeds(self):
         for seed in range(100):
             g, _ = gnp(4 + seed % 13, Fraction(1, 2 + seed % 3), seed)
             D = apsp(g)
-            assert game_value(D) == bland_only(D, monkeypatch), seed
+            assert game_value(D) == bland_only(D), seed
 
 
 class TestUniqueOptimum:
@@ -213,7 +237,7 @@ class TestUniqueOptimum:
     def test_optimal_but_not_unique_basis_is_rejected(self, spec, monkeypatch):
         D = apsp(parse_generator_spec(spec, seed=0))
         M = D.entries + 1
-        expected = bland_only(D, monkeypatch)
+        expected = bland_only(D)
         raw = raw_dantzig_basis(M, monkeypatch)
         pair = game._basis_pair(M, raw)
         assert game._certified(D, *pair) != expected  # optimal, yet a different answer
@@ -224,8 +248,8 @@ class TestUniqueOptimum:
     @pytest.mark.parametrize("spec", DEGENERATE)
     def test_float_screen_rejects_degenerate_tableau(self, spec):
         M = apsp(parse_generator_spec(spec, seed=0)).entries + 1
-        assert game._float_basis(M, True) is None
-        assert game._float_basis(M, False) is not None
+        assert game._simplex_basis(M, True) is None
+        assert game._simplex_basis(M, False) is not None
 
     # the raw Dantzig basis has tight sets equal to its basis sets; only zero
     # basic entries, in Q, in P or in both, show that its optimum is not unique
@@ -243,7 +267,7 @@ class TestUniqueOptimum:
         assert tight_sets(D, sol) == (cols, rows)
         supports = (set(sol.minimax_strategy.support()), set(sol.maximin_strategy.support()))
         assert (supports[0] < cols, supports[1] < rows) == ("minimax" in short, "maximin" in short)
-        assert sol != bland_only(D, monkeypatch)
+        assert sol != bland_only(D)
         with pytest.raises(HardVerificationError, match="not unique"):
             game._certified(D, *pair, raw)
 
@@ -251,7 +275,7 @@ class TestUniqueOptimum:
         # no basis passes when the optimum is not unique, Bland's own included
         D = apsp(path(60))
         M = D.entries + 1
-        basis = game._float_basis(M, False)
+        basis = game._simplex_basis(M, False)
         pair = game._basis_pair(M, basis)
         game._certified(D, *pair)
         with pytest.raises(HardVerificationError, match="not unique"):
@@ -277,7 +301,7 @@ class TestUniqueOptimum:
                 sol = game_value(D)
             accepted += runs == [(True, True)]
             M = D.entries + 1
-            basis = game._float_basis(M, False)
+            basis = game._simplex_basis(M, False)
             if basis is None:
                 # Bland's float run hits FLOAT_PIVOT_CAP (n = 147, seed 44), and the
                 # exact simplex behind it takes minutes; a unique optimum is its answer
@@ -288,20 +312,21 @@ class TestUniqueOptimum:
 
     def test_capped_dantzig_run_hands_over_to_bland(self, monkeypatch):
         D = apsp(cycle(39))
-        expected = bland_only(D, monkeypatch)
-        float_basis = game._float_basis
+        expected = bland_only(D)
+        simplex = game._simplex_basis
         runs = []
 
         def capped(M, dantzig):
+            if is_exact(M):
+                pytest.fail("exact simplex ran")
             with monkeypatch.context() as m:
                 if dantzig:
                     m.setattr(game, "FLOAT_PIVOT_CAP", 1)
-                basis = float_basis(M, dantzig)
+                basis = simplex(M, dantzig)
             runs.append((dantzig, basis is not None))
             return basis
 
-        monkeypatch.setattr(game, "_float_basis", capped)
-        monkeypatch.setattr(game, "_simplex_bland", lambda M: pytest.fail("exact simplex ran"))
+        monkeypatch.setattr(game, "_simplex_basis", capped)
         assert game_value(D) == expected
         assert runs == [(True, False), (False, True)]
 
@@ -317,16 +342,17 @@ class TestForcedFallback:
     ])
     def test_fallback_returns_bland_answer(self, basis, monkeypatch):
         D = apsp(hypercube(3))
-        expected = bland_only(D, monkeypatch)
+        expected = bland_only(D)
         calls = []
-        simplex = game._simplex_bland
+        simplex = game._simplex_basis
 
-        def counted(M):
+        def counted(M, dantzig):
+            if not is_exact(M):
+                return basis(len(M))
             calls.append(len(M))
-            return simplex(M)
+            return simplex(M, dantzig)
 
-        monkeypatch.setattr(game, "_float_basis", lambda M, dantzig: basis(len(M)))
-        monkeypatch.setattr(game, "_simplex_bland", counted)
+        monkeypatch.setattr(game, "_simplex_basis", counted)
         assert game_value(D) == expected
         assert calls == [8]
 
@@ -338,7 +364,7 @@ class TestForcedFallback:
     def bareiss_calls(monkeypatch, name, fake):
         """Sizes of the Bareiss solves of cycle:39's basis with game.<name> faked."""
         M = apsp(cycle(39)).entries + 1
-        basis = game._float_basis(M, True)
+        basis = game._simplex_basis(M, True)
         expected = game._basis_pair(M, basis)
         calls = []
         bareiss = game.bareiss_solve
@@ -362,10 +388,72 @@ class TestForcedFallback:
     def test_pivot_cap(self, monkeypatch):
         M = apsp(cycle(7)).entries + 1
         for dantzig in (True, False):
-            assert game._float_basis(M, dantzig) is not None
+            assert game._simplex_basis(M, dantzig) is not None
         monkeypatch.setattr(game, "FLOAT_PIVOT_CAP", 1)
         for dantzig in (True, False):
-            assert game._float_basis(M, dantzig) is None
+            assert game._simplex_basis(M, dantzig) is None
+
+
+class TestExactRun:
+    """The simplex loop on Fractions against the list-of-Fractions Bland simplex."""
+
+    GOLDEN = [("star:6", 0), ("path:7", 0), ("cycle:8", 0), ("hypercube:3", 0),
+              ("grid:3,4", 0), ("gnp:12,1/3", 5)]
+    REPORT_SMALL = [(spec, 1) for spec in TestCertifiedBasisAgainstBland.REPORT_SMALL_FAMILIES
+                    + [f"gnp:{n},1/4" for n in (20, 22, 24, 26)]]
+
+    @pytest.mark.parametrize("spec,seed", GOLDEN + REPORT_SMALL)
+    def test_matches_oracle(self, spec, seed, monkeypatch):
+        D = apsp(parse_generator_spec(spec, seed=seed))
+        assert exact_only(D, monkeypatch) == bland_spec(spec, seed)
+
+    def test_gnp_seeds(self, monkeypatch):
+        for seed in range(100):
+            D = apsp(gnp(4 + seed % 13, Fraction(1, 2 + seed % 3), seed)[0])
+            assert exact_only(D, monkeypatch) == bland_only(D), seed
+
+    def test_no_tolerance(self):
+        # the least ratios of column 0 are 1e-12 and 5e-13: a float tolerance of
+        # 1e-9 would tie them and pivot on row 0, the infeasible choice
+        big = 10**12
+        M = np.array([[big, 2 * big, 1], [2 * big, big, 1], [1, 1, big]], dtype=np.int64)
+        fractions = fraction_rows(M)
+        basis = game._simplex_basis(np.array(fractions, dtype=object), False)
+        assert game._basis_pair(M, basis) == simplex_bland_fraction(fractions)
+
+    @pytest.mark.parametrize("spec,seed", [("hypercube:3", 0), ("gnp:12,1/3", 5), ("cycle:9", 0)])
+    def test_pivot_cap_leaves_the_exact_run_alone(self, spec, seed, monkeypatch):
+        D = apsp(parse_generator_spec(spec, seed=seed))
+        simplex = game._simplex_basis
+        runs = []
+
+        def spy(M, dantzig):
+            basis = simplex(M, dantzig)
+            runs.append((is_exact(M), basis is not None))
+            return basis
+
+        monkeypatch.setattr(game, "FLOAT_PIVOT_CAP", 1)
+        monkeypatch.setattr(game, "_simplex_basis", spy)
+        assert game_value(D) == bland_spec(spec, seed)
+        assert runs == [(False, False), (False, False), (True, True)]
+
+    @pytest.mark.parametrize("basis,message", [
+        (lambda n: None, "unbounded LP"),
+        (lambda n: list(range(n)), "singular basis"),  # D + 1 is singular on Q3
+        (lambda n: [0] + list(range(n + 1, 2 * n)), "do not close"),
+    ], ids=["no leaving row", "singular", "certificate"])
+    def test_exact_failure_raises(self, basis, message, monkeypatch):
+        D = apsp(hypercube(3))
+        calls = []
+
+        def fake(M, dantzig):
+            calls.append(is_exact(M))
+            return basis(len(M)) if is_exact(M) else None
+
+        monkeypatch.setattr(game, "_simplex_basis", fake)
+        with pytest.raises(HardVerificationError, match=message):
+            game_value(D)
+        assert calls == [False, False, True]
 
 
 class TestBasisPair:
@@ -377,7 +465,7 @@ class TestBasisPair:
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_two_inverses(self, spec):
         M = apsp(parse_generator_spec(spec, seed=1)).entries + 1
-        bases = [game._float_basis(M, dantzig) for dantzig in (True, False)]
+        bases = [game._simplex_basis(M, dantzig) for dantzig in (True, False)]
         bases = [b for b in bases if b is not None]
         assert bases
         for basis in bases:
@@ -387,7 +475,7 @@ class TestBasisPair:
     def test_one_inverse(self, spec, size, monkeypatch):
         # cycle:39's full-support basis is symmetric, gnp:120,1/12's is not
         M = apsp(parse_generator_spec(spec, seed=1)).entries + 1
-        basis = game._float_basis(M, True)
+        basis = game._simplex_basis(M, True)
         calls = []
         inverse = curvature._inverse_mod
 

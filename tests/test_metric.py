@@ -114,6 +114,53 @@ class TestFixtures:
         assert ecc.tolist() == [2] * 5
 
 
+class TestValidation:
+    """DistanceMatrix refuses bad entries, each check with its own message."""
+
+    @staticmethod
+    def path_metric(n):
+        idx = np.arange(n, dtype=np.int64)
+        return np.abs(idx[:, None] - idx[None, :])
+
+    # the symmetry check runs over blocks of 256 rows; n = 257 and 513 end on a
+    # partial block, and the pairs sit in the first block, on a block boundary
+    # and in the last rows and columns
+    @pytest.mark.parametrize("n", [257, 513])
+    @pytest.mark.parametrize("pair", ["first", "boundary", "corner", "last"])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_asymmetric_pair(self, n, pair, upper):
+        i, j = {"first": (0, 1), "boundary": (255, 256), "corner": (0, n - 1),
+                "last": (n - 2, n - 1)}[pair]
+        e = self.path_metric(n)
+        assert metric.DistanceMatrix(n=n, entries=e.copy()).n == n
+        e[(i, j) if upper else (j, i)] += 1
+        with pytest.raises(ValueError, match="must be symmetric"):
+            metric.DistanceMatrix(n=n, entries=e)
+
+    @pytest.mark.parametrize("n", [2, 257, 513])
+    def test_negative_entry(self, n):
+        e = self.path_metric(n)
+        e[n - 2, n - 1] = e[n - 1, n - 2] = -1
+        with pytest.raises(ValueError, match="distances must be non-negative"):
+            metric.DistanceMatrix(n=n, entries=e)
+
+    def test_checks_keep_their_order(self):
+        e = self.path_metric(300)
+        e[0, 299] = -5  # asymmetric and negative: symmetry is checked first
+        with pytest.raises(ValueError, match="must be symmetric"):
+            metric.DistanceMatrix(n=300, entries=e.copy())
+        e[5, 5] = 1
+        with pytest.raises(ValueError, match="zero diagonal"):
+            metric.DistanceMatrix(n=300, entries=e.copy())
+        with pytest.raises(ValueError, match="must be int64"):
+            metric.DistanceMatrix(n=300, entries=e.astype(np.int32))
+        with pytest.raises(ValueError, match="does not match"):
+            metric.DistanceMatrix(n=299, entries=e)
+
+    def test_empty(self):
+        assert metric.DistanceMatrix(n=0, entries=np.zeros((0, 0), dtype=np.int64)).n == 0
+
+
 def test_disconnected_refused_with_named_pair():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError) as exc:

@@ -7,7 +7,8 @@ fraction-free Bareiss, row
 sums in Python instead of one matrix product, scalar instead of vectorized
 SplitMix, one Fraction per measure entry instead of integer numerators over
 one denominator, one transport vector per measure instead of one product per
-block of measures) so agreement is meaningful.  Where a fast path kept the
+block of measures, one str per distance instead of gathered byte words) so
+agreement is meaningful.  Where a fast path kept the
 library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
 with one inverse mod p per system, the exact Bland simplex on its own
@@ -17,6 +18,7 @@ give identical results.
 
 from __future__ import annotations
 
+import json
 import warnings
 from fractions import Fraction
 from math import lcm
@@ -62,6 +64,21 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
     return dist
+
+
+def dist_text_per_int(D: DistanceMatrix, fmt: str, head: dict | None = None) -> str:
+    """`graphcurv dist` output formatted one Python int at a time.
+
+    head holds the JSON fields before "distances" (command, input, n, m).
+    This was the library's formatter before `graphcurv.cli._write_grid`.
+    """
+    rows = D.entries.tolist()
+    if fmt == "csv":
+        return "".join(",".join(str(x) for x in row) + "\n" for row in rows)
+    if fmt == "table":
+        width = max(len(str(x)) for row in rows for x in row)
+        return "".join(" ".join(str(x).rjust(width) for x in row) + "\n" for row in rows)
+    return json.dumps(head | {"distances": rows}, indent=2) + "\n"
 
 
 def transport_vector_rowsum(D: DistanceMatrix, P: Measure) -> tuple[Fraction, ...]:

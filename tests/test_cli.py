@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -10,7 +12,9 @@ import jsonschema
 import pytest
 
 import graphcurv
-from graphcurv import cli, parse_edge_list, path, serialize, star
+from graphcurv import apsp, cli, parse_edge_list, parse_generator_spec, path, serialize, star
+from oracles import dist_text_per_int
+from test_metric import family_graphs_up_to
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +35,13 @@ def run_json(capsys, schema, *argv):
     doc = json.loads(out)
     jsonschema.validate(doc, schema)
     return doc
+
+
+def src_env() -> dict:
+    """The environment with the imported graphcurv's source tree first on PYTHONPATH."""
+    src = Path(graphcurv.__file__).resolve().parent.parent
+    path_entries = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
 
 
 class TestGen:
@@ -60,6 +71,95 @@ class TestDist:
         f.write_text(serialize(star(4)))
         doc = run_json(capsys, schema, "dist", "--input", str(f))
         assert doc["n"] == 4
+
+
+DIST_FORMATS = ("csv", "table", "json")
+
+
+def assert_dist_matches_oracle(capsys, source, g, seed=0):
+    """`dist` in every format against the per-int formatter, byte for byte."""
+    D = apsp(g)
+    head = {"command": "dist", "input": source, "n": g.n, "m": g.m}
+    for fmt in DIST_FORMATS:
+        code, out, err = run(capsys, "dist", "--input", source, "--seed", str(seed), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == dist_text_per_int(D, fmt, head), (source, seed, fmt)
+
+
+class RecordingStream:
+    """A stdout that keeps only the length of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return len(text)
+
+
+class TestDistKernel:
+    """`_write_grid` against the per-int formatter it replaced."""
+
+    def test_families(self, capsys, tmp_path):
+        for i, g in enumerate(family_graphs_up_to(32)):
+            f = tmp_path / f"g{i}.edges"
+            f.write_text(serialize(g))
+            assert_dist_matches_oracle(capsys, str(f), g)
+
+    # the largest distance just below and at 10, 100 and 1000
+    @pytest.mark.parametrize("spec", ["path:1", "path:10", "path:11", "path:101", "path:102",
+                                      "path:1002"])
+    def test_digit_widths(self, capsys, spec):
+        assert_dist_matches_oracle(capsys, spec, parse_generator_spec(spec))
+
+    def test_gnp_draws(self, capsys):
+        for seed in range(30):
+            spec = f"gnp:{2 + seed % 37},1/{2 + seed % 4}"
+            assert_dist_matches_oracle(capsys, spec, parse_generator_spec(spec, seed=seed), seed)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_blocks(self, capsys, monkeypatch, rows):
+        # path:12's csv words are 3 bytes ("11,"), so a block of 36·rows bytes
+        # holds that many rows: one per block, or 5 + 5 + 2
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 36 * rows)
+        stream = RecordingStream()
+        with contextlib.redirect_stdout(stream):
+            assert cli.main(["dist", "--input", "path:12", "--format", "csv"]) == 0
+        assert len(stream.writes) == -(-12 // rows)
+        assert sum(stream.writes) == len(dist_text_per_int(apsp(path(12)), "csv"))
+        assert_dist_matches_oracle(capsys, "path:12", path(12))
+
+    def test_csv_memory(self, monkeypatch):
+        g = parse_generator_spec("gnp:1500,1/150")
+        D = apsp(g)
+        monkeypatch.setattr(cli, "_load_graph", lambda args: g)
+        monkeypatch.setattr(cli, "apsp", lambda graph: D)
+        stream = RecordingStream()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(stream):
+                assert cli.main(["dist", "--input", "gnp:1500,1/150", "--format", "csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(stream.writes) == len(dist_text_per_int(D, "csv"))
+        # D.entries.tolist() alone took 8·n² bytes
+        assert peak < 2 * g.n ** 2
+
+
+# spec -> tests/data/dist_<spec>.{csv,txt,json}, written by the per-int formatter
+DIST_GOLDEN_SPECS = ["path:12", "grid:3,4", "star:6"]
+
+
+@pytest.mark.parametrize("spec", DIST_GOLDEN_SPECS)
+@pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("table", "txt"), ("json", "json")])
+def test_dist_matches_golden(spec, fmt, ext):
+    name = f"dist_{spec.replace(':', '_').replace(',', '_')}.{ext}"
+    expected = (Path(__file__).parent / "data" / name).read_bytes()
+    result = subprocess.run([sys.executable, "-m", "graphcurv.cli", "dist", "--input", spec,
+                             "--format", fmt], env=src_env(), capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == expected
 
 
 class TestCurvature:
@@ -225,11 +325,8 @@ def test_output_matches_golden(capsys, command, spec, seed):
 
 
 def run_probe(probe: str) -> str:
-    src = Path(graphcurv.__file__).resolve().parent.parent
-    path_entries = filter(None, [str(src), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                            timeout=120, check=True)
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
+                            text=True, timeout=120, check=True)
     return result.stdout.strip()
 
 

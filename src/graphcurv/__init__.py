@@ -50,6 +50,7 @@ from .graphs import (
     validate,
 )
 from .measures import (
+    Battery,
     Measure,
     measure_delta,
     measure_uniform,

@@ -8,8 +8,13 @@ float field.  Output is byte-identical for identical configurations.
 `dist` prints the distance matrix as JSON (the default; the layout of
 json.dumps with indent=2), as CSV with one matrix row per line, or as a table
 of right-aligned columns.  All three go through one kernel, `_write_grid`,
-which turns each block of rows into text from a per-value word table, so no
-format builds the n^2 Python ints of the matrix.
+which turns each block of rows into text from a per-value table of
+cell-width words plus one constant tail per row, so no format builds the
+n^2 Python ints of the matrix.
+
+`verify` and `report` write one record per battery measure straight from
+the reduced integer arrays of the `VerificationReport`: "p/q" text and
+float64 division, with no `Fraction` or `MeasureRecord` per measure.
 
 Exit codes: 0 ok, 2 input error, 3 disconnected graph, 4 inconsistent
 curvature system, 5 hard verification failure.
@@ -157,18 +162,16 @@ def _cmd_dist(args) -> int:
     E = apsp(g).entries
     values = range(int(E.max()) + 1)
     if args.format == "csv":
-        _write_grid(E, [f"{v}," for v in values], [f"{v}\n" for v in values])
+        _write_grid(E, [str(v) for v in values], ",", "\n")
     elif args.format == "table":
-        cells = [str(v).rjust(len(str(values[-1]))) for v in values]
-        _write_grid(E, [c + " " for c in cells], [c + "\n" for c in cells])
+        _write_grid(E, [str(v).rjust(len(str(values[-1]))) for v in values], " ", "\n")
     else:
         # json.dumps(doc, indent=2) with doc["distances"] last, spliced in row by row
         head = json.dumps({"command": "dist", "input": args.input, "n": g.n, "m": g.m}, indent=2)
         sys.stdout.write(head[:-2] + ',\n  "distances": [\n    [\n')
         cells = [f"      {v}" for v in values]
-        mid = [c + ",\n" for c in cells]
-        _write_grid(E[:-1], mid, [c + "\n    ],\n    [\n" for c in cells])
-        _write_grid(E[-1:], mid, [c + "\n    ]\n  ]\n}\n" for c in cells])
+        _write_grid(E[:-1], cells, ",\n", "\n    ],\n    [\n")
+        _write_grid(E[-1:], cells, ",\n", "\n    ]\n  ]\n}\n")
     return EXIT_OK
 
 
@@ -178,22 +181,27 @@ def _cmd_dist(args) -> int:
 _BLOCK_BYTES = 1 << 18
 
 
-def _write_grid(entries: np.ndarray, mid: list[str], last: list[str]) -> None:
-    """Write each row of a non-negative int matrix as the text of its cells.
+def _write_grid(entries: np.ndarray, cells: list[str], sep: str, end: str) -> None:
+    """Write each row of a non-negative int matrix as its cells joined by sep, then end.
 
-    mid[v] and last[v] are the ASCII text of value v as an inner cell and as
-    the row's last cell.  A block of rows gathers them as NUL-padded bytes
-    words, one mask drops the padding, and the block goes out as one str.
+    cells[v] is the ASCII text of value v.  A block of rows gathers
+    cells[v] + sep (the row's last cell without sep) as NUL-padded bytes
+    words of one width, each row followed by the constant end; one mask
+    drops the padding, and the block goes out as one str.
     """
-    width = max(map(len, mid + last))
-    mid_words = np.array(mid, dtype=f"S{width}")
-    last_words = np.array(last, dtype=f"S{width}")
-    rows = max(1, _BLOCK_BYTES // (entries.shape[1] * width))
+    width = max(map(len, cells)) + len(sep)
+    words = np.array([c + sep for c in cells], dtype=f"S{width}")
+    last_words = np.array(cells, dtype=f"S{width}")
+    n = entries.shape[1]
+    rows = max(1, _BLOCK_BYTES // (n * width))
+    buf = np.empty((min(rows, len(entries)), n * width + len(end)), dtype=np.uint8)
+    buf[:, n * width:] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
     for start in range(0, len(entries), rows):
         block = entries[start:start + rows]
-        words = mid_words[block]
-        words[:, -1] = last_words[block[:, -1]]
-        chars = words.view(np.uint8)
+        chars = buf[:len(block)]
+        grid = chars[:, :n * width].view(f"S{width}")
+        grid[:] = words[block]
+        grid[:, -1] = last_words[block[:, -1]]
         sys.stdout.write(str(chars[chars != 0].data, "ascii"))
 
 
@@ -276,14 +284,16 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
         found = search_lower_violation(D, sol, gsol)
         if found is not None:
             witness = [rational_str(x) for x in found.p]
+    checked = report.measures_checked
+    flags = (report.lower_holds, report.upper_holds, report.lower_tight, report.upper_tight)
     return {
         "seed": seed,
         "samples": samples,
-        "K": rational_str(report.records[0].K) if report.records else None,
-        "K_float": float(report.records[0].K) if report.records else None,
+        "K": rational_str(report.K) if checked else None,
+        "K_float": float(report.K) if checked else None,
         "nonneg": report.nonneg,
         "summary": {
-            "measures_checked": report.measures_checked,
+            "measures_checked": checked,
             "lower_failures": report.lower_failures,
             "upper_failures": report.upper_failures,
         },
@@ -291,15 +301,30 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
         "findings": list(report.findings),
         "records": [
             {
-                "measure": r.descriptor,
-                "A": rational_str(r.A), "A_float": float(r.A),
-                "B": rational_str(r.B), "B_float": float(r.B),
-                "lower_holds": r.lower_holds, "upper_holds": r.upper_holds,
-                "lower_tight": r.lower_tight, "upper_tight": r.upper_tight,
+                "measure": label,
+                "A": A, "A_float": A_float,
+                "B": B, "B_float": B_float,
+                "lower_holds": lh, "upper_holds": uh,
+                "lower_tight": lt, "upper_tight": ut,
             }
-            for r in report.records
+            for label, A, A_float, B, B_float, lh, uh, lt, ut in zip(
+                report.labels, *_ratio_columns(report.A_num, report.A_den),
+                *_ratio_columns(report.B_num, report.B_den), *(f.tolist() for f in flags))
         ],
     }
+
+
+def _ratio_columns(num: np.ndarray, den: np.ndarray) -> tuple[list[str], list[float]]:
+    """The "p/q" text and the float of each reduced ratio num[i] / den[i].
+
+    When num and den are at most 2^53 both convert to float64 exactly, and
+    one correctly rounded division gives float(Fraction(num, den)).
+    """
+    nums, dens = num.tolist(), den.tolist()
+    text = [f"{p}/{q}" for p, q in zip(nums, dens)]
+    if max(nums + dens, default=0) <= 1 << 53:
+        return text, (num.astype(np.float64) / den.astype(np.float64)).tolist()
+    return text, [float(Fraction(p, q)) for p, q in zip(nums, dens)]
 
 
 def _cmd_verify(args) -> int:

@@ -310,13 +310,15 @@ def curvature_bound(sol: CurvatureSolution, n: int) -> Fraction:
 def solve_curvature_float(D: DistanceMatrix) -> FloatSolution:
     """Partial-pivoting LU in doubles; residual recomputed, never assumed.
 
-    LU factors a Fortran-order float copy of D in place, so only one n x n
-    float array exists; the residual is taken from D in row blocks.
+    LU factors a float copy of D in place, so only one n x n float array
+    exists; the residual is taken from D in row blocks.  The copy is made in
+    D's own C order, a straight copy, and handed to LU transposed: that view
+    is Fortran-contiguous and equals D, which is symmetric.
     """
     import scipy.linalg  # here, so that the exact paths never load scipy
 
     n = D.n
-    lu = D.entries.astype(np.float64, order="F")
+    lu = D.entries.astype(np.float64).T
     rhs = np.full(n, float(n))
     with warnings.catch_warnings():
         # singularity is decided by the explicit pivot check below

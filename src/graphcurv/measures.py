@@ -4,17 +4,25 @@ A measure is stored as integer numerators q over one common denominator den,
 P = q / den, reduced so that gcd(den, *q) == 1.  Building and checking one
 costs integer sums and one gcd, never a rational per entry; `Measure.p`
 gives the entries as rationals when a caller wants them.
+
+A `Battery` holds many measures on the same n vertices as one k x n integer
+matrix of reduced numerators and a vector of k denominators, each row
+labelled.  Its weights are summed, checked and reduced with `np.gcd` as one
+matrix, and a `Measure` is built only when a row is asked for.  Random
+samples are drawn the same way: one counter grid per block of at most n
+samples, hashed in place.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
 import numpy as np
 
-from .seeding import counter_values_np
+from .seeding import counter_offsets, mix64_inplace
 
 SAMPLE_WEIGHT_BITS = 16  # raw weights uniform in [1, 2^16]
 
@@ -64,6 +72,14 @@ class Measure:
             den //= g
         self.q = tuple(q)
         self.den = den
+
+    @classmethod
+    def _reduced(cls, q: tuple[int, ...], den: int) -> Measure:
+        """The measure q / den for numerators already checked and reduced."""
+        mu = cls.__new__(cls)
+        mu.q = q
+        mu.den = den
+        return mu
 
     @property
     def p(self) -> tuple[Fraction, ...]:
@@ -115,6 +131,83 @@ def measure_uniform_on(n: int, subset: Iterable[int]) -> Measure:
     return Measure.from_weights([int(i in support) for i in range(n)])
 
 
+def sample_weights(n: int, count: int, seed: int) -> np.ndarray:
+    """The count x n int64 matrix of raw sample weights, uniform in [1, 2^16].
+
+    Entry (i, j) is 1 + counter_values_np(seed, [j], i) mod 2^16.  The
+    states after all prefixes i come from one `counter_offsets` call, and
+    the counters of each block of at most n samples are hashed together, in
+    place.
+    """
+    weights = np.empty((count, n), dtype=np.int64)
+    offsets = counter_offsets(seed, count)
+    for start in range(0, count, max(n, 1)):
+        z = np.arange(n, dtype=np.uint64) + offsets[start:start + n, None]
+        mix64_inplace(z)
+        z &= np.uint64((1 << SAMPLE_WEIGHT_BITS) - 1)
+        weights[start:start + n] = z
+    weights += 1
+    return weights
+
+
+def reduce_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of non-negative integer weights as (numerators, denominators).
+
+    Row i becomes the measure weights[i] / sum(weights[i]), reduced by the
+    gcd of the row and its sum.  weights is int64, or object for Python
+    ints that int64 cannot hold.
+    """
+    if weights.shape[1] == 0:
+        raise ValueError("measure needs at least one entry")
+    if weights.size and weights.min() < 0:
+        raise ValueError("measure entries must be non-negative")
+    den = weights.sum(axis=1)
+    if (den == 0).any():
+        raise ValueError("measure weights must not all be zero")
+    g = np.gcd(np.gcd.reduce(weights, axis=1), den)
+    return weights // g[:, None], den // g
+
+
+class Battery(Sequence):
+    """Labelled measures on n vertices as one reduced integer matrix.
+
+    Row i of `num` (k x n) over `den[i]` is the measure labelled
+    `labels[i]`; every row is non-negative, sums to its denominator and is
+    reduced.  As a sequence a battery holds `(label, Measure)` pairs, and
+    each `Measure` is built when it is asked for.
+    """
+
+    __slots__ = ("labels", "num", "den")
+
+    def __init__(self, labels: Sequence[str], weights: np.ndarray):
+        if len(labels) != len(weights):
+            raise ValueError(f"{len(labels)} labels for {len(weights)} measures")
+        self.labels = tuple(labels)
+        self.num, self.den = reduce_weights(weights)
+
+    @property
+    def n(self) -> int:
+        return self.num.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Battery(self.labels[i], self.num[i])
+        return self.labels[i], Measure._reduced(tuple(self.num[i].tolist()), int(self.den[i]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Battery({len(self)} measures on {self.n} vertices)"
+
+
 def sample_measures(n: int, count: int, seed: int) -> list[Measure]:
     """Deterministic random interior measures.
 
@@ -125,9 +218,5 @@ def sample_measures(n: int, count: int, seed: int) -> list[Measure]:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    out = []
-    vertices = np.arange(n)
-    for i in range(count):
-        weights = (1 + counter_values_np(seed, vertices, i) % (1 << SAMPLE_WEIGHT_BITS)).tolist()
-        out.append(Measure.from_weights(weights))
-    return out
+    num, den = reduce_weights(sample_weights(n, count, seed))
+    return [Measure._reduced(tuple(q), d) for q, d in zip(num.tolist(), den.tolist())]

@@ -30,8 +30,28 @@ def counter_values_np(seed: int, counters: np.ndarray, *prefix: int) -> np.ndarr
     x = mix64(seed)
     for c in prefix:
         x = mix64((x + _GOLDEN + c) & _MASK)
+    z = counters.astype(np.uint64) + np.uint64((x + _GOLDEN) & _MASK)
+    mix64_inplace(z)
+    return z
+
+
+def counter_offsets(seed: int, count: int) -> np.ndarray:
+    """Per-prefix offsets of a counter grid, as uint64.
+
+    Hashing counters + offsets[i] with `mix64_inplace` gives
+    counter_values_np(seed, counters, i): the state after prefix i is
+    counter_values_np(seed, [i]), and the golden gamma is added once more.
+    """
     with np.errstate(over="ignore"):
-        z = counters.astype(np.uint64) + np.uint64((x + _GOLDEN) & _MASK)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        return counter_values_np(seed, np.arange(count)) + np.uint64(_GOLDEN)
+
+
+def mix64_inplace(z: np.ndarray) -> None:
+    """The SplitMix64 finalizer on every word of a uint64 array, in place."""
+    t = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= np.right_shift(z, np.uint64(31), out=t)

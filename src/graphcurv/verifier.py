@@ -2,14 +2,17 @@
 
 For a measure P the transport vector is D P: component u is the expected
 distance from u to a P-random vertex.  A and B are its min and max.  The
-sandwich around K = n/||w||_1 is checked by exact rational comparison; there
+sandwich around K = n/||w||_1 is checked by exact integer comparison; there
 is no tolerance anywhere in this module.
 
-A measure is q / den for integers q, so D P = (D q) / den, and A and B are
-the min and max of the integer vector D q over den.  `verify_minimax` stacks
-the numerators of up to n measures into one n x k block Q and takes N = D Q
-as one matrix product per block; each measure then costs two rationals,
-A and B.  Blocks of at most n columns keep Q and N no larger than D.
+The battery is a `Battery`: k measures as one k x n matrix of reduced
+numerators q over a vector of denominators den, so D P = (D q) / den, and A
+and B are the column min and max of N = D Q over den.  `verify_minimax`
+takes one product N = D Q per block of at most n measures, keeps A and B as
+reduced integer arrays, and decides lower, upper and tight for all measures
+at once by integer cross-multiplication with K.  A rational or a
+`MeasureRecord` per measure is built only when `VerificationReport.records`
+is read.
 
 The inner-product identity <w, D P> = n is what makes the sandwich work:
 n = <n 1, P> = <D w, P> = <w, D P>, which lies between A ||w||_1 and
@@ -20,19 +23,21 @@ one off the matrix game.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .curvature import CurvatureSolution, SolveStatus, curvature_bound
 from .errors import HardVerificationError, InconsistentSystemError
-from .measures import Measure, measure_delta, measure_uniform, measure_uniform_on, sample_measures
+from .measures import Battery, Measure, sample_weights
+from .measures import sample_measures  # noqa: F401  (perfbench/tracing.py patches it here)
 from .metric import DistanceMatrix
 
 INT64_MAX = (1 << 63) - 1
+FLOAT_EXACT_MAX = 1 << 53  # every integer up to this is exact in float64
 BATTERY_PAIR_LIMIT = 12  # include pair-uniform measures in the battery up to this n
 
 
@@ -57,14 +62,58 @@ class MeasureRecord:
     upper_tight: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    records: tuple[MeasureRecord, ...]
-    measures_checked: int
-    lower_failures: int
-    upper_failures: int
+    """The sandwich over a battery, one array entry per measure, in order.
+
+    Measure i has A = A_num[i] / A_den[i] and B = B_num[i] / B_den[i],
+    each reduced.  Reports compare equal when their records, `nonneg` and
+    findings are equal.
+    """
+
+    labels: tuple[str, ...]
+    K: Fraction
+    A_num: np.ndarray
+    A_den: np.ndarray
+    B_num: np.ndarray
+    B_den: np.ndarray
+    lower_holds: np.ndarray
+    upper_holds: np.ndarray
+    lower_tight: np.ndarray
+    upper_tight: np.ndarray
     nonneg: bool
     findings: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def measures_checked(self) -> int:
+        return len(self.labels)
+
+    @property
+    def lower_failures(self) -> int:
+        return self.measures_checked - int(self.lower_holds.sum())
+
+    @property
+    def upper_failures(self) -> int:
+        return self.measures_checked - int(self.upper_holds.sum())
+
+    @cached_property
+    def records(self) -> tuple[MeasureRecord, ...]:
+        columns = (self.A_num, self.A_den, self.B_num, self.B_den, self.lower_holds,
+                   self.upper_holds, self.lower_tight, self.upper_tight)
+        return tuple(
+            MeasureRecord(descriptor=label, A=Fraction(a, ad), B=Fraction(b, bd), K=self.K,
+                          lower_holds=lh, upper_holds=uh, lower_tight=lt, upper_tight=ut)
+            for label, a, ad, b, bd, lh, uh, lt, ut
+            in zip(self.labels, *(c.tolist() for c in columns))
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return (self.records, self.nonneg, self.findings) == (
+            other.records, other.nonneg, other.findings)
+
+    __hash__ = None
 
 
 def transport_vector(D: DistanceMatrix, P: Measure) -> TransportBounds:
@@ -73,45 +122,63 @@ def transport_vector(D: DistanceMatrix, P: Measure) -> TransportBounds:
     The one-column case of the battery's product: D P = (D q) / den for
     P = q / den, with D q from `_transport_block`.
     """
-    _check_dimensions(D, [P])
-    num = _transport_block(D, [P])[:, 0].tolist()
+    battery = _as_battery(D, [P])
+    num = _transport_block(D, battery.num, battery.den)[:, 0].tolist()
     lo, hi = min(num), max(num)
     dp = tuple(Fraction(x, P.den) for x in num)
     return TransportBounds(dp=dp, A=Fraction(lo, P.den), B=Fraction(hi, P.den),
                            argmin=num.index(lo), argmax=num.index(hi))
 
 
-def _check_dimensions(D: DistanceMatrix, measures: Iterable[Measure]) -> None:
-    for P in measures:
-        if P.n != D.n:
-            raise ValueError(
-                f"dimension mismatch: measure on {P.n} vertices, matrix is {D.n}x{D.n}"
-            )
+def _as_battery(D: DistanceMatrix, measures) -> Battery:
+    """The measures as a battery on D's vertices, after a dimension check.
 
-
-def _transport_block(D: DistanceMatrix, block: Sequence[Measure]) -> np.ndarray:
-    """N = D Q, exactly, for the n x k matrix Q of the block's numerators.
-
-    Column j of N is den_j times the transport vector of measure j.  Every
-    entry of N is at most max(D) * den_j, and every entry of Q at most
-    den_j, so N is one int64 product when max(D) times the block's largest
-    den fits int64, and a product on Python ints otherwise.
+    A `Battery` is checked by its shape.  Any other sequence holds
+    (label, Measure) pairs or bare measures, labelled measure:<index>.
     """
-    fits = max(int(D.entries.max()), 1) * max(P.den for P in block) <= INT64_MAX
-    dtype = np.int64 if fits else object
-    Q = np.array([P.q for P in block], dtype=dtype).T
-    return D.entries.astype(dtype, copy=False) @ Q
+    if isinstance(measures, Battery):
+        if measures.n != D.n:
+            raise ValueError(_mismatch(measures.n, D.n))
+        return measures
+    labelled = [m if isinstance(m, tuple) else (f"measure:{i}", m) for i, m in enumerate(measures)]
+    for _, P in labelled:
+        if P.n != D.n:
+            raise ValueError(_mismatch(P.n, D.n))
+    fits = all(P.den <= INT64_MAX for _, P in labelled)
+    weights = np.array([P.q for _, P in labelled], dtype=np.int64 if fits else object)
+    return Battery([label for label, _ in labelled], weights.reshape(len(labelled), D.n))
 
 
-def _battery_bounds(
-    D: DistanceMatrix, battery: Sequence[Measure]
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """(A, B) per measure, in order, from one `_transport_block` per n measures."""
-    for start in range(0, len(battery), D.n):
-        block = battery[start:start + D.n]
-        N = _transport_block(D, block)
-        for P, lo, hi in zip(block, N.min(axis=0).tolist(), N.max(axis=0).tolist()):
-            yield Fraction(lo, P.den), Fraction(hi, P.den)
+def _mismatch(measure_n: int, n: int) -> str:
+    return f"dimension mismatch: measure on {measure_n} vertices, matrix is {n}x{n}"
+
+
+def _transport_block(D: DistanceMatrix, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """N = D Q, exactly, for the n x k matrix Q = num.T of at most n measures.
+
+    Column j of N is den[j] times the transport vector of measure j.  Every
+    term and partial sum of column j is a non-negative integer at most
+    max(D) * den[j], so when max(D) times the block's largest den is at most
+    2^53 the float64 (BLAS) product is exact and is cast back to int64;
+    otherwise the product runs on Python ints.  A block of n measures whose
+    rows sum to den = 1 and hold 1 on the diagonal is the n deltas in order,
+    and its product is D itself.
+    """
+    if len(num) == D.n and (den == 1).all() and (num.diagonal() == 1).all():
+        return D.entries
+    if max(int(D.entries.max()), 1) * int(den.max()) <= FLOAT_EXACT_MAX:
+        return (D.entries.astype(np.float64) @ num.T.astype(np.float64)).astype(np.int64)
+    return D.entries.astype(object) @ num.T.astype(object)
+
+
+def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) of a reduced ratio."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def identity_check(w: Sequence[Fraction], D: DistanceMatrix, P: Measure) -> Fraction:
@@ -122,80 +189,92 @@ def identity_check(w: Sequence[Fraction], D: DistanceMatrix, P: Measure) -> Frac
     return sum((wi * di for wi, di in zip(w, dp)), Fraction(0))
 
 
-def measure_battery(n: int, samples: int = 100, seed: int = 0) -> list[tuple[str, Measure]]:
+def measure_battery(n: int, samples: int = 100, seed: int = 0) -> Battery:
     """The fixed verification battery, in deterministic order.
 
     All delta measures, the uniform measure, all pair-uniform measures for
     small n, then `samples` seeded random interior measures.  "For all P" is
     unverifiable; this covers the simplex's extreme points, its barycenter,
     the structured measures that produce known lower-bound failures, and a
-    seeded random interior sweep.
+    seeded random interior sweep.  The weights of all of them form one
+    matrix, reduced once by `Battery`.
     """
-    battery: list[tuple[str, Measure]] = []
-    for v in range(n):
-        battery.append((f"delta:{v}", measure_delta(n, v)))
-    battery.append(("uniform", measure_uniform(n)))
-    if n <= BATTERY_PAIR_LIMIT:
-        for u, v in itertools.combinations(range(n), 2):
-            battery.append((f"uniform_on:{u},{v}", measure_uniform_on(n, (u, v))))
-    if samples > 0:
-        for i, mu in enumerate(sample_measures(n, samples, seed)):
-            battery.append((f"sample:{i}", mu))
-    return battery
+    pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)]
+                     if n <= BATTERY_PAIR_LIMIT else [], dtype=np.intp).reshape(-1, 2)
+    samples = max(samples, 0)
+    labels = ([f"delta:{v}" for v in range(n)] + ["uniform"]
+              + [f"uniform_on:{u},{v}" for u, v in pairs.tolist()]
+              + [f"sample:{i}" for i in range(samples)])
+    weights = np.zeros((len(labels), n), dtype=np.int64)
+    np.fill_diagonal(weights[:n], 1)
+    weights[n] = 1
+    rows = np.arange(n + 1, n + 1 + len(pairs))
+    weights[rows, pairs[:, 0]] = weights[rows, pairs[:, 1]] = 1
+    if samples:
+        weights[len(labels) - samples:] = sample_weights(n, samples, seed)
+    return Battery(labels, weights)
 
 
 def verify_minimax(
     D: DistanceMatrix,
     sol: CurvatureSolution,
-    measures: Sequence[Measure] | Sequence[tuple[str, Measure]],
+    measures: Battery | Sequence[Measure] | Sequence[tuple[str, Measure]],
 ) -> VerificationReport:
     """Check A <= K <= B per measure by exact comparison.
 
-    Every measure's dimension is checked before any product; A and B then
-    come from one product per block of n measures (`_battery_bounds`).
-    The upper bound must hold for every measure, and the lower bound for
-    every measure whenever w is non-negative; either failure raises
-    HardVerificationError since it falsifies the implementation, not the
-    theorem.  Lower failures for signed w are recorded as findings.
+    A sequence that is not a `Battery` is made into one first, and the
+    battery's dimension is checked before any product.  A and B come from
+    one `_transport_block` per block of n measures.  The upper bound must
+    hold for every measure, and the lower bound for every measure whenever w
+    is non-negative; either failure raises HardVerificationError, naming the
+    first failing measure in battery order, since it falsifies the
+    implementation, not the theorem.  Lower failures for signed w are
+    recorded as findings.
     """
     if sol.status is SolveStatus.INCONSISTENT:
         raise InconsistentSystemError("cannot verify: the curvature system is inconsistent")
     K = curvature_bound(sol, D.n)
-    labelled = [m if isinstance(m, tuple) else (f"measure:{i}", m) for i, m in enumerate(measures)]
-    battery = [mu for _, mu in labelled]
-    _check_dimensions(D, battery)
-    records = []
-    findings = []
-    lower_failures = 0
-    for (descriptor, _), (A, B) in zip(labelled, _battery_bounds(D, battery)):
-        lower = A <= K
-        upper = K <= B
-        if not upper:
+    battery = _as_battery(D, measures)
+    lo, hi = [np.zeros(0, dtype=battery.den.dtype)], [np.zeros(0, dtype=battery.den.dtype)]
+    for start in range(0, len(battery), D.n):
+        N = _transport_block(D, battery.num[start:start + D.n], battery.den[start:start + D.n])
+        lo.append(N.min(axis=0))
+        hi.append(N.max(axis=0))
+    A_num, A_den = _reduce(np.concatenate(lo), battery.den)
+    B_num, B_den = _reduce(np.concatenate(hi), battery.den)
+
+    # A <= K <=> A_num * Kd <= Kn * A_den, and K <= B likewise, on int64 when
+    # every product fits and on Python ints otherwise
+    Kn, Kd = K.numerator, K.denominator
+    biggest = max([0, *(int(x.max()) for x in (A_num, A_den, B_num, B_den) if len(x))])
+    dtype = np.int64 if biggest * max(Kn, Kd) <= INT64_MAX else object
+    a, ka = A_num.astype(dtype) * Kd, A_den.astype(dtype) * Kn
+    b, kb = B_num.astype(dtype) * Kd, B_den.astype(dtype) * Kn
+    lower, upper = a <= ka, kb <= b
+
+    hard = ~upper | (~lower & sol.nonneg)
+    if hard.any():
+        i = int(hard.argmax())
+        descriptor = battery.labels[i]
+        if not upper[i]:
             raise HardVerificationError(
-                f"upper bound failed for {descriptor}: K = {K} > B = {B}; "
+                f"upper bound failed for {descriptor}: K = {K} > "
+                f"B = {_ratio_str(int(B_num[i]), int(B_den[i]))}; "
                 "this contradicts the identity <w, DP> = n"
             )
-        if not lower:
-            if sol.nonneg:
-                raise HardVerificationError(
-                    f"lower bound failed for {descriptor} although min w >= 0: "
-                    f"A = {A} > K = {K}"
-                )
-            lower_failures += 1
-            findings.append(
-                f"lower bound fails for {descriptor}: A = {A} > K = {K} "
-                "(allowed: w has a negative entry)"
-            )
-        records.append(MeasureRecord(
-            descriptor=descriptor, A=A, B=B, K=K,
-            lower_holds=lower, upper_holds=upper,
-            lower_tight=(A == K), upper_tight=(K == B),
-        ))
+        raise HardVerificationError(
+            f"lower bound failed for {descriptor} although min w >= 0: "
+            f"A = {_ratio_str(int(A_num[i]), int(A_den[i]))} > K = {K}"
+        )
+    K_str = str(K)
+    findings = tuple(
+        f"lower bound fails for {battery.labels[i]}: A = {_ratio_str(x, d)} > K = {K_str} "
+        "(allowed: w has a negative entry)"
+        for i, x, d in zip(np.flatnonzero(~lower).tolist(), A_num[~lower].tolist(),
+                           A_den[~lower].tolist())
+    )
     return VerificationReport(
-        records=tuple(records),
-        measures_checked=len(records),
-        lower_failures=lower_failures,
-        upper_failures=0,
-        nonneg=sol.nonneg,
-        findings=tuple(findings),
+        labels=battery.labels, K=K, A_num=A_num, A_den=A_den, B_num=B_num, B_den=B_den,
+        lower_holds=lower, upper_holds=upper, lower_tight=a == ka, upper_tight=kb == b,
+        nonneg=sol.nonneg, findings=findings,
     )

@@ -12,12 +12,14 @@ agreement is meaningful.  Where a fast path kept the
 library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
 with one inverse mod p per system, the exact Bland simplex on its own
-list-of-Fractions tableau), the replaced code is kept here verbatim and must
-give identical results.
+list-of-Fractions tableau, the battery as a list of `Measure`s with int64
+block products), the replaced code is kept here verbatim and must give
+identical results.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from fractions import Fraction
@@ -40,6 +42,9 @@ from graphcurv import (
     VerificationReport,
     complete,
     curvature_bound,
+    measure_delta,
+    measure_uniform,
+    measure_uniform_on,
     transport_vector,
     validate,
 )
@@ -47,7 +52,7 @@ from graphcurv.curvature import FLOAT_PIVOT_FLOOR, bareiss_solve, dixon_solve
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
-from graphcurv.verifier import BATTERY_PAIR_LIMIT
+from graphcurv.verifier import BATTERY_PAIR_LIMIT, INT64_MAX
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -180,14 +185,89 @@ def verify_minimax_per_measure(
             lower_holds=lower, upper_holds=upper,
             lower_tight=(tb.A == K), upper_tight=(K == tb.B),
         ))
+    return report_from_records(records, K, sol.nonneg, findings)
+
+
+def report_from_records(records: list[MeasureRecord], K: Fraction, nonneg: bool,
+                        findings: list[str]) -> VerificationReport:
+    """A `VerificationReport` holding these records, for comparing reports."""
+    def column(values, dtype=object):
+        return np.array(values, dtype=dtype)
+
     return VerificationReport(
-        records=tuple(records),
-        measures_checked=len(records),
-        lower_failures=lower_failures,
-        upper_failures=0,
-        nonneg=sol.nonneg,
-        findings=tuple(findings),
+        labels=tuple(r.descriptor for r in records), K=K,
+        A_num=column([r.A.numerator for r in records]),
+        A_den=column([r.A.denominator for r in records]),
+        B_num=column([r.B.numerator for r in records]),
+        B_den=column([r.B.denominator for r in records]),
+        lower_holds=column([r.lower_holds for r in records], bool),
+        upper_holds=column([r.upper_holds for r in records], bool),
+        lower_tight=column([r.lower_tight for r in records], bool),
+        upper_tight=column([r.upper_tight for r in records], bool),
+        nonneg=nonneg, findings=tuple(findings),
     )
+
+
+def sample_measures_per_sample(n: int, count: int, seed: int) -> list[Measure]:
+    """`graphcurv.sample_measures` with one counter call and one
+    `Measure.from_weights` per sample.
+
+    This was the library's sampler before the samples were drawn as one
+    counter grid and reduced as one matrix.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    out = []
+    vertices = np.arange(n)
+    for i in range(count):
+        weights = (1 + counter_values_np(seed, vertices, i) % (1 << SAMPLE_WEIGHT_BITS)).tolist()
+        out.append(Measure.from_weights(weights))
+    return out
+
+
+def measure_battery_measures(n: int, samples: int = 100, seed: int = 0) -> list[tuple[str, Measure]]:
+    """`graphcurv.measure_battery` as a list of (label, Measure) pairs.
+
+    This was the library's battery before `graphcurv.Battery` held it as one
+    integer matrix.
+    """
+    battery: list[tuple[str, Measure]] = []
+    for v in range(n):
+        battery.append((f"delta:{v}", measure_delta(n, v)))
+    battery.append(("uniform", measure_uniform(n)))
+    if n <= BATTERY_PAIR_LIMIT:
+        for u, v in itertools.combinations(range(n), 2):
+            battery.append((f"uniform_on:{u},{v}", measure_uniform_on(n, (u, v))))
+    if samples > 0:
+        for i, mu in enumerate(sample_measures_per_sample(n, samples, seed)):
+            battery.append((f"sample:{i}", mu))
+    return battery
+
+
+def transport_block_int64(D: DistanceMatrix, block: list[Measure]) -> np.ndarray:
+    """N = D Q, exactly, for the n x k matrix Q of the block's numerators.
+
+    Column j of N is den_j times the transport vector of measure j.  Every
+    entry of N is at most max(D) * den_j, and every entry of Q at most
+    den_j, so N is one int64 product when max(D) times the block's largest
+    den fits int64, and a product on Python ints otherwise.
+
+    This was the library's block product before the float64 product
+    replaced its int64 branch.
+    """
+    fits = max(int(D.entries.max()), 1) * max(P.den for P in block) <= INT64_MAX
+    dtype = np.int64 if fits else object
+    Q = np.array([P.q for P in block], dtype=dtype).T
+    return D.entries.astype(dtype, copy=False) @ Q
+
+
+def battery_bounds_int64(D: DistanceMatrix, battery: list[Measure]):
+    """(A, B) per measure, in order, from one `transport_block_int64` per n measures."""
+    for start in range(0, len(battery), D.n):
+        block = battery[start:start + D.n]
+        N = transport_block_int64(D, block)
+        for P, lo, hi in zip(block, N.min(axis=0).tolist(), N.max(axis=0).tolist()):
+            yield Fraction(lo, P.den), Fraction(hi, P.den)
 
 
 def counter_value(seed: int, *counters: int) -> int:

@@ -9,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import graphcurv
@@ -129,6 +130,17 @@ class TestDistKernel:
         assert sum(stream.writes) == len(dist_text_per_int(apsp(path(12)), "csv"))
         assert_dist_matches_oracle(capsys, "path:12", path(12))
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_json_blocks_hold_cell_width_words(self, capsys, monkeypatch, rows):
+        # path:12's inner json words are 10 bytes ("      11,\n"); the row's
+        # closing text is written once per row, not padded into every word
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 120 * rows)
+        stream = RecordingStream()
+        with contextlib.redirect_stdout(stream):
+            assert cli.main(["dist", "--input", "path:12", "--format", "json"]) == 0
+        assert len(stream.writes) == 1 + -(-11 // rows) + 1  # head, 11 rows, the last row
+        assert_dist_matches_oracle(capsys, "path:12", path(12))
+
     def test_csv_memory(self, monkeypatch):
         g = parse_generator_spec("gnp:1500,1/150")
         D = apsp(g)
@@ -213,6 +225,45 @@ class TestVerify:
         doc = run_json(capsys, schema, "verify", "--input", "path:4", "--samples", "0")
         assert doc["samples"] == 0
         assert doc["summary"]["measures_checked"] == 4 + 1 + 6
+
+    def test_records_from_ratios_beyond_float(self, monkeypatch):
+        # a numerator and denominator above 2^53 take float(Fraction) per record
+        D = apsp(path(6))
+        sol = graphcurv.solve_curvature(D)
+        tiny = Fraction(1, 2 ** 70 + 1)
+        wide = graphcurv.Measure([tiny, Fraction(1, 3), 0, 1 - tiny - Fraction(1, 3) - Fraction(1, 7),
+                                  Fraction(1, 7), 0])
+        battery = list(graphcurv.measure_battery(6, samples=3, seed=1)) + [("wide", wide)]
+        monkeypatch.setattr(cli, "measure_battery", lambda n, samples, seed: battery)
+        doc = cli._verification_doc(D, sol, 3, 1)
+        report = graphcurv.verify_minimax(D, sol, battery)
+        assert max(report.records[-1].A.denominator, report.records[-1].B.numerator) > 2 ** 53
+        assert [(r["measure"], r["A"], r["A_float"], r["B"], r["B_float"]) for r in doc["records"]] == [
+            (r.descriptor, f"{r.A.numerator}/{r.A.denominator}", float(r.A),
+             f"{r.B.numerator}/{r.B.denominator}", float(r.B)) for r in report.records]
+
+    @pytest.mark.parametrize("num,den", [(1, 3), (2 ** 53, 2 ** 53 - 1), (2 ** 53 - 1, 3),
+                                         (2 ** 53 + 1, 2 ** 53 + 2), (3, 2 ** 60 + 7),
+                                         (2 ** 80 + 1, 3 ** 40)])
+    def test_ratio_floats_equal_fraction_floats(self, num, den):
+        columns = cli._ratio_columns(np.array([num, 0], dtype=object), np.array([den, 1], dtype=object))
+        assert columns == ([f"{num}/{den}", "0/1"], [float(Fraction(num, den)), 0.0])
+
+
+# spec -> tests/data/verify_<spec>_seed1.json with --samples 300, the output of
+# the implementation that verified one Measure object and record at a time
+VERIFY_GOLDEN_SPECS = ["star:60", "gnp:60,1/6"]
+
+
+@pytest.mark.parametrize("spec", VERIFY_GOLDEN_SPECS)
+def test_verify_matches_golden(spec):
+    name = f"verify_{spec.replace(':', '_').replace(',', '_').replace('/', '-')}_seed1.json"
+    expected = (Path(__file__).parent / "data" / name).read_bytes()
+    result = subprocess.run([sys.executable, "-m", "graphcurv.cli", "verify", "--input", spec,
+                             "--samples", "300", "--seed", "1"],
+                            env=src_env(), capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == expected
 
 
 class TestGame:

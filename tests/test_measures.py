@@ -10,9 +10,9 @@ from graphcurv import (
     measure_uniform_on,
     sample_measures,
 )
-from graphcurv.measures import SAMPLE_WEIGHT_BITS
-from graphcurv.seeding import counter_values_np
-from oracles import counter_value, measure_fraction, sample_measures_fraction
+from graphcurv.measures import SAMPLE_WEIGHT_BITS, sample_weights
+from graphcurv.seeding import counter_offsets, counter_values_np, mix64_inplace
+from oracles import counter_value, measure_fraction, sample_measures_fraction, sample_measures_per_sample
 
 
 class TestConstruction:
@@ -121,6 +121,17 @@ class TestSampling:
             got = [mu.p for mu in sample_measures(n, count, seed)]
             assert got == sample_measures_fraction(n, count, seed)
 
+    @pytest.mark.parametrize("n,count,seed", [(1, 5, 0), (3, 10, 42), (12, 300, 1), (60, 130, 9),
+                                              (120, 300, 2 ** 64 - 1)])
+    def test_grid_draw_matches_per_sample_draw(self, n, count, seed):
+        # count > n draws the grid in several blocks of n samples
+        weights = sample_weights(n, count, seed)
+        expected = [1 + counter_values_np(seed, np.arange(n), i) % (1 << SAMPLE_WEIGHT_BITS)
+                    for i in range(count)]
+        assert weights.dtype == np.int64
+        assert weights.tolist() == [w.tolist() for w in expected]
+        assert sample_measures(n, count, seed) == sample_measures_per_sample(n, count, seed)
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_measures(3, 0, 0)
@@ -145,3 +156,9 @@ class TestCounterValues:
     def test_bit_identical_to_scalar(self, seed, prefix, n):
         got = counter_values_np(seed, np.arange(n), *prefix).tolist()
         assert got == [counter_value(seed, *prefix, j) for j in range(n)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    def test_offsets_give_prefixed_values(self, seed):
+        z = np.arange(9, dtype=np.uint64) + counter_offsets(seed, 4)[:, None]
+        mix64_inplace(z)
+        assert z.tolist() == [[counter_value(seed, i, j) for j in range(9)] for i in range(4)]

@@ -1,10 +1,13 @@
 import dataclasses
 import re
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 from graphcurv import (
+    Battery,
     HardVerificationError,
     InconsistentSystemError,
     Measure,
@@ -32,8 +35,14 @@ from graphcurv import (
     verify_minimax,
 )
 from graphcurv import game, verifier
-from graphcurv.verifier import INT64_MAX
-from oracles import measure_battery_fraction, transport_vector_rowsum, verify_minimax_per_measure
+from graphcurv.verifier import FLOAT_EXACT_MAX, INT64_MAX
+from oracles import (
+    battery_bounds_int64,
+    measure_battery_fraction,
+    measure_battery_measures,
+    transport_vector_rowsum,
+    verify_minimax_per_measure,
+)
 
 
 def solved(g):
@@ -208,11 +217,76 @@ class TestVerifyMinimax:
     def test_dimension_checked_before_any_product(self, monkeypatch):
         D, sol = solved(path(3))
         forged = dataclasses.replace(sol, l1_norm=Fraction(1, 10))  # every measure fails B
-        battery = measure_battery(3, samples=5, seed=0) + [("wrong", measure_uniform(4))]
+        battery = list(measure_battery(3, samples=5, seed=0)) + [("wrong", measure_uniform(4))]
         monkeypatch.setattr(verifier, "_transport_block",
-                            lambda D, block: pytest.fail("product before the dimension check"))
+                            lambda *args: pytest.fail("product before the dimension check"))
         with pytest.raises(ValueError, match="dimension mismatch: measure on 4 vertices"):
             verify_minimax(D, forged, battery)
+        with pytest.raises(ValueError, match="dimension mismatch: measure on 4 vertices"):
+            verify_minimax(D, forged, measure_battery(4, samples=5, seed=0))
+
+    def test_mixed_labelled_and_bare_measures(self):
+        for g in small_families()[::3] + [star(9), gnp(20, Fraction(1, 4), 3)[0]]:
+            D, sol = solved(g)
+            if sol.status is SolveStatus.INCONSISTENT:
+                continue
+            measures = [mu if i % 3 else (label, mu)
+                        for i, (label, mu) in enumerate(measure_battery(g.n, samples=g.n, seed=4))]
+            labelled = [m if isinstance(m, tuple) else (f"measure:{i}", m)
+                        for i, m in enumerate(measures)]
+            report = verify_minimax(D, sol, measures)
+            assert report == verify_minimax_per_measure(D, sol, labelled), g
+            assert report.labels[1] == "measure:1" and report.labels[3] == labelled[3][0]
+
+    def test_bounds_match_int64_blocks(self):
+        graphs = small_families() + [gnp(40, Fraction(1, 5), 1)[0], path(30)]
+        for g in graphs:
+            D, sol = solved(g)
+            if sol.status is SolveStatus.INCONSISTENT:
+                continue
+            battery = measure_battery_measures(g.n, samples=2 * g.n, seed=6)
+            report = verify_minimax(D, sol, battery)
+            expected = list(battery_bounds_int64(D, [mu for _, mu in battery]))
+            assert [(r.A, r.B) for r in report.records] == expected, g
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_float_product_guard_at_2_pow_53(self, extra):
+        # max(D) = 2 on path:3, so den = 2^52 is the largest den of a float64
+        # block; at 2^52 + 1 the entry 2 q_0 + q_1 = 2^53 + 1 has no float64
+        D, sol = solved(path(3))
+        den = FLOAT_EXACT_MAX // 2 + extra
+        mu = Measure.from_weights([den - 1, 1, 0])
+        assert mu.den == den
+        battery = verifier._as_battery(D, [("edge", mu)])
+        N = verifier._transport_block(D, battery.num, battery.den)
+        assert N.dtype == (object if extra else np.int64)
+        dp = transport_vector_rowsum(D, mu)
+        assert [Fraction(x, den) for x in N[:, 0].tolist()] == list(dp)
+        assert transport_vector(D, mu).dp == dp
+        measures = [("edge", mu), ("uniform", measure_uniform(3))]
+        assert verify_minimax(D, sol, measures) == verify_minimax_per_measure(D, sol, measures)
+
+    def test_hard_errors_match_per_measure(self):
+        # forged inputs against the per-measure oracle: the same first failing
+        # measure and the same message, from whichever block it falls in
+        cases = 0
+        for g in small_families() + [star(9), star(12), path(15)]:
+            D, sol = solved(g)
+            if sol.status is SolveStatus.INCONSISTENT:
+                continue
+            battery = measure_battery(g.n, samples=g.n, seed=8)
+            for forged in (dataclasses.replace(sol, nonneg=True),
+                           dataclasses.replace(sol, l1_norm=sol.l1_norm / 2)):
+                try:
+                    expected = verify_minimax_per_measure(D, forged, list(battery))
+                except HardVerificationError as e:
+                    with pytest.raises(HardVerificationError) as got:
+                        verify_minimax(D, forged, battery)
+                    assert str(got.value) == str(e), g
+                    cases += 1
+                else:
+                    assert verify_minimax(D, forged, battery) == expected, g
+        assert cases > 30
 
     def test_sandwich_nonneg_over_battery(self):
         for g in small_families():
@@ -327,6 +401,41 @@ class TestBattery:
 
     def test_deterministic(self):
         assert measure_battery(5, 10, 4) == measure_battery(5, 10, 4)
+        assert measure_battery(5, 10, 4) != measure_battery(5, 10, 5)
+
+    @pytest.mark.parametrize("samples", [0, 1, 300])
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_rows_match_fraction_oracle(self, n, samples):
+        # pair-uniform measures stop after n = BATTERY_PAIR_LIMIT = 12
+        battery = measure_battery(n, samples=samples, seed=3)
+        rows = [(label, tuple(Fraction(x, d) for x in q))
+                for label, q, d in zip(battery.labels, battery.num.tolist(), battery.den.tolist())]
+        assert rows == measure_battery_fraction(n, samples, seed=3)
+        assert battery.num.dtype == battery.den.dtype == np.int64
+        assert all(gcd(d, *q) == 1 for q, d in zip(battery.num.tolist(), battery.den.tolist()))
+        assert list(battery) == measure_battery_measures(n, samples, seed=3)
+
+    def test_sequence_of_labelled_measures(self):
+        battery = measure_battery(4, samples=3, seed=2)
+        listed = measure_battery_measures(4, samples=3, seed=2)
+        assert len(battery) == len(listed) == 4 + 1 + 6 + 3
+        assert battery[0] == listed[0] and battery[-1] == listed[-1]
+        assert battery[2:9:3] == listed[2:9:3] and isinstance(battery[2:9:3], Battery)
+        assert battery == listed and battery == Battery(battery.labels, battery.num * 5)
+        assert listed[5] in battery and battery.index(listed[5]) == 5
+        with pytest.raises(TypeError):
+            hash(battery)
+
+    @pytest.mark.parametrize("weights,error", [
+        ([[1, -1]], "non-negative"), ([[1, 1], [0, 0]], "must not all be zero"),
+        (np.zeros((1, 0), dtype=np.int64), "at least one entry"),
+    ])
+    def test_rejects_bad_weights(self, weights, error):
+        weights = np.array(weights, dtype=np.int64)
+        with pytest.raises(ValueError, match=error):
+            Battery([f"m{i}" for i in range(len(weights))], weights)
+        with pytest.raises(ValueError, match="labels"):
+            Battery(["a", "b", "c"], np.ones((2, 2), dtype=np.int64))
 
     @pytest.mark.parametrize("n,samples", [(n, 25) for n in sorted({g.n for g in small_families()})]
                              + [(60, 300), (120, 300)])

@@ -153,22 +153,22 @@ def _mismatch(measure_n: int, n: int) -> str:
     return f"dimension mismatch: measure on {measure_n} vertices, matrix is {n}x{n}"
 
 
-def _transport_block(D: DistanceMatrix, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+def _transport_block(D: DistanceMatrix, num: np.ndarray, den: np.ndarray,
+                     D_float: np.ndarray | None = None) -> np.ndarray:
     """N = D Q, exactly, for the n x k matrix Q = num.T of at most n measures.
 
     Column j of N is den[j] times the transport vector of measure j.  Every
     term and partial sum of column j is a non-negative integer at most
     max(D) * den[j], so when max(D) times the block's largest den is at most
     2^53 the float64 (BLAS) product is exact and is cast back to int64;
-    otherwise the product runs on Python ints.  A block of n measures whose
-    rows sum to den = 1 and hold 1 on the diagonal is the n deltas in order,
-    and its product is D itself.
+    otherwise the product runs on Python ints.  `D_float`, when given, is
+    D.entries as float64, converted once by a caller that takes many blocks.
     """
-    if len(num) == D.n and (den == 1).all() and (num.diagonal() == 1).all():
-        return D.entries
-    if max(int(D.entries.max()), 1) * int(den.max()) <= FLOAT_EXACT_MAX:
-        return (D.entries.astype(np.float64) @ num.T.astype(np.float64)).astype(np.int64)
-    return D.entries.astype(object) @ num.T.astype(object)
+    if max(int(D.entries.max()), 1) * int(den.max()) > FLOAT_EXACT_MAX:
+        return D.entries.astype(object) @ num.T.astype(object)
+    if D_float is None:
+        D_float = D.entries.astype(np.float64)
+    return (D_float @ num.T.astype(np.float64)).astype(np.int64)
 
 
 def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +236,10 @@ def verify_minimax(
     K = curvature_bound(sol, D.n)
     battery = _as_battery(D, measures)
     lo, hi = [np.zeros(0, dtype=battery.den.dtype)], [np.zeros(0, dtype=battery.den.dtype)]
+    D_float = D.entries.astype(np.float64)
     for start in range(0, len(battery), D.n):
-        N = _transport_block(D, battery.num[start:start + D.n], battery.den[start:start + D.n])
+        N = _transport_block(D, battery.num[start:start + D.n], battery.den[start:start + D.n],
+                             D_float)
         lo.append(N.min(axis=0))
         hi.append(N.max(axis=0))
     A_num, A_den = _reduce(np.concatenate(lo), battery.den)

@@ -16,6 +16,13 @@ n^2 Python ints of the matrix.
 the reduced integer arrays of the `VerificationReport`: "p/q" text and
 float64 division, with no `Fraction` or `MeasureRecord` per measure.
 
+Every JSON document is in the layout of json.dumps with indent=2, byte for
+byte, and is written by one writer, `_write_json`, with one write.  The
+stdlib uses its C encoder only without indent, so `_json_text` encodes a
+list one column at a time with C-level maps instead: the list itself when
+it holds scalars, and each field of a list of records that share their keys
+in the same order, joined by one %-template per record.
+
 Exit codes: 0 ok, 2 input error, 3 disconnected graph, 4 inconsistent
 curvature system, 5 hard verification failure.
 """
@@ -23,10 +30,10 @@ curvature system, 5 hard verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -139,12 +146,95 @@ def _ratf(x: Fraction | None) -> float | None:
 
 def _emit(doc: dict, fmt: str, table_renderer=None) -> int:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        _write_json(doc)
     elif fmt == "table" and table_renderer is not None:
         table_renderer(doc)
     else:
         raise GraphInputError(f"unsupported format {fmt!r} for this command")
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# JSON in the layout of json.dumps(doc, indent=2)
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(doc) -> None:
+    sys.stdout.write(_json_text(doc) + "\n")
+
+
+def _json_text(o, ind: str = "\n") -> str:
+    """json.dumps(o, indent=2), for o at the indentation ind (a newline, then spaces)."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return _LITERALS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    inner = ind + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_items(o, inner)) + ind + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _quote(_key_text(k)) + ": " + _json_text(v, inner) for k, v in o.items()) + ind + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    """A dict key as the str json writes for it: a scalar key as its JSON text."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return _json_text(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _json_items(items, ind: str):
+    """The text of each item of a non-empty list whose items sit at indentation ind.
+
+    Records, dicts with the same str keys in the same order, are encoded one
+    field at a time and joined by one template; % in a key is escaped as %%.
+    """
+    if set(map(type, items)) == {dict}:
+        keys = set(map(tuple, items))
+        fields = keys.pop() if len(keys) == 1 else ()
+        if fields and set(map(type, fields)) == {str}:
+            inner = ind + "  "
+            template = "{" + inner + ("," + inner).join(
+                _quote(k).replace("%", "%%") + ": %s" for k in fields) + ind + "}"
+            columns = [_json_column(c, inner) for c in zip(*map(dict.values, items))]
+            return map(template.__mod__, zip(*columns))
+    return _json_column(items, ind)
+
+
+def _json_column(values, ind: str) -> list[str]:
+    """The text of each value at indentation ind.
+
+    Values that all share one scalar type take one C-level map.
+    """
+    types = set(map(type, values))
+    if types == {str}:
+        return list(map(_quote, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    if types == {float}:
+        texts = list(map(float.__repr__, values))
+        if _NONFINITE.keys().isdisjoint(texts):
+            return texts
+        return list(map(_NONFINITE.get, texts, texts))
+    if types <= {bool, type(None)}:
+        return list(map(_LITERALS.__getitem__, values))
+    return [_json_text(v, ind) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +256,8 @@ def _cmd_dist(args) -> int:
     elif args.format == "table":
         _write_grid(E, [str(v).rjust(len(str(values[-1]))) for v in values], " ", "\n")
     else:
-        # json.dumps(doc, indent=2) with doc["distances"] last, spliced in row by row
-        head = json.dumps({"command": "dist", "input": args.input, "n": g.n, "m": g.m}, indent=2)
+        # the indent=2 layout with doc["distances"] last, spliced in row by row
+        head = _json_text({"command": "dist", "input": args.input, "n": g.n, "m": g.m})
         sys.stdout.write(head[:-2] + ',\n  "distances": [\n    [\n')
         cells = [f"      {v}" for v in values]
         _write_grid(E[:-1], cells, ",\n", "\n    ],\n    [\n")
@@ -413,7 +503,7 @@ def _cmd_report(args) -> int:
     if sol.status is SolveStatus.INCONSISTENT:
         doc["verification"] = None
         doc["game"] = None
-        print(json.dumps(doc, indent=2))
+        _write_json(doc)
         raise InconsistentSystemError(f"D w = n 1 has no solution for this graph (n={g.n})")
     gsol = game_value(D)
     doc["verification"] = _verification_doc(D, sol, args.samples, args.seed, gsol)

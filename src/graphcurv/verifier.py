@@ -8,11 +8,11 @@ is no tolerance anywhere in this module.
 The battery is a `Battery`: k measures as one k x n matrix of reduced
 numerators q over a vector of denominators den, so D P = (D q) / den, and A
 and B are the column min and max of N = D Q over den.  `verify_minimax`
-takes one product N = D Q per block of at most n measures, keeps A and B as
-reduced integer arrays, and decides lower, upper and tight for all measures
-at once by integer cross-multiplication with K.  A rational or a
-`MeasureRecord` per measure is built only when `VerificationReport.records`
-is read.
+takes one product N = D Q per block of at most n measures, as many as fit
+a byte budget, keeps A and B as reduced integer arrays, and decides lower,
+upper and tight for all measures at once by integer cross-multiplication
+with K.  A rational or a `MeasureRecord` per measure is built only when
+`VerificationReport.records` is read.
 
 The inner-product identity <w, D P> = n is what makes the sandwich work:
 n = <n 1, P> = <D w, P> = <w, D P>, which lies between A ||w||_1 and
@@ -39,6 +39,11 @@ from .metric import DistanceMatrix
 INT64_MAX = (1 << 63) - 1
 FLOAT_EXACT_MAX = 1 << 53  # every integer up to this is exact in float64
 BATTERY_PAIR_LIMIT = 12  # include pair-uniform measures in the battery up to this n
+# bytes of one float64 block of N (and of its Q) in verify_minimax: blocks
+# hold n columns up to n = 181, and above that the block products stay below
+# D's own 8 n^2 bytes; the narrower blocks cost gnp:300 about 0.3 ms and
+# gnp:640 about 10 ms per call, against exact solves of 0.15 s and 1.2 s
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def transport_vector(D: DistanceMatrix, P: Measure) -> TransportBounds:
     P = q / den, with D q from `_transport_block`.
     """
     battery = _as_battery(D, [P])
-    num = _transport_block(D, battery.num, battery.den)[:, 0].tolist()
+    num = _exact_ints(_transport_block(D, battery.num, battery.den)[:, 0]).tolist()
     lo, hi = min(num), max(num)
     dp = tuple(Fraction(x, P.den) for x in num)
     return TransportBounds(dp=dp, A=Fraction(lo, P.den), B=Fraction(hi, P.den),
@@ -160,15 +165,21 @@ def _transport_block(D: DistanceMatrix, num: np.ndarray, den: np.ndarray,
     Column j of N is den[j] times the transport vector of measure j.  Every
     term and partial sum of column j is a non-negative integer at most
     max(D) * den[j], so when max(D) times the block's largest den is at most
-    2^53 the float64 (BLAS) product is exact and is cast back to int64;
-    otherwise the product runs on Python ints.  `D_float`, when given, is
-    D.entries as float64, converted once by a caller that takes many blocks.
+    2^53 the float64 (BLAS) product is exact and N is returned as float64,
+    for `_exact_ints` to cast whatever part of it the caller keeps; otherwise
+    the product runs on Python ints.  `D_float`, when given, is D.entries as
+    float64, converted once by a caller that takes many blocks.
     """
     if max(int(D.entries.max()), 1) * int(den.max()) > FLOAT_EXACT_MAX:
         return D.entries.astype(object) @ num.T.astype(object)
     if D_float is None:
         D_float = D.entries.astype(np.float64)
-    return (D_float @ num.T.astype(np.float64)).astype(np.int64)
+    return D_float @ num.T.astype(np.float64)
+
+
+def _exact_ints(x: np.ndarray) -> np.ndarray:
+    """Entries of a `_transport_block` product as int64 (from float64) or Python ints."""
+    return x.astype(np.int64) if x.dtype == np.float64 else x
 
 
 def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,11 +235,12 @@ def verify_minimax(
 
     A sequence that is not a `Battery` is made into one first, and the
     battery's dimension is checked before any product.  A and B come from
-    one `_transport_block` per block of n measures.  The upper bound must
-    hold for every measure, and the lower bound for every measure whenever w
-    is non-negative; either failure raises HardVerificationError, naming the
-    first failing measure in battery order, since it falsifies the
-    implementation, not the theorem.  Lower failures for signed w are
+    one `_transport_block` per block of at most n measures whose float64 N
+    fits `_BLOCK_BYTES`, and only its column min and max are cast to ints.
+    The upper bound must hold for every measure, and the lower bound for
+    every measure whenever w is non-negative; either failure raises
+    HardVerificationError, naming the first failing measure in battery
+    order, since it falsifies the implementation, not the theorem.  Lower failures for signed w are
     recorded as findings.
     """
     if sol.status is SolveStatus.INCONSISTENT:
@@ -237,11 +249,13 @@ def verify_minimax(
     battery = _as_battery(D, measures)
     lo, hi = [np.zeros(0, dtype=battery.den.dtype)], [np.zeros(0, dtype=battery.den.dtype)]
     D_float = D.entries.astype(np.float64)
-    for start in range(0, len(battery), D.n):
-        N = _transport_block(D, battery.num[start:start + D.n], battery.den[start:start + D.n],
-                             D_float)
-        lo.append(N.min(axis=0))
-        hi.append(N.max(axis=0))
+    width = min(D.n, max(1, _BLOCK_BYTES // (8 * D.n)))
+    for start in range(0, len(battery), width):
+        N = _transport_block(D, battery.num[start:start + width],
+                             battery.den[start:start + width], D_float)
+        lo.append(_exact_ints(N.min(axis=0)))
+        hi.append(_exact_ints(N.max(axis=0)))
+        del N  # before the next block's product, so that one N at a time is alive
     A_num, A_den = _reduce(np.concatenate(lo), battery.den)
     B_num, B_den = _reduce(np.concatenate(hi), battery.den)
 

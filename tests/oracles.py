@@ -13,8 +13,8 @@ library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
 with one inverse mod p per system, the exact Bland simplex on its own
 list-of-Fractions tableau, the battery as a list of `Measure`s with int64
-block products), the replaced code is kept here verbatim and must give
-identical results.
+block products, JSON through the stdlib's indent=2 encoder), the replaced
+code is kept here verbatim and must give identical results.
 """
 
 from __future__ import annotations
@@ -84,6 +84,14 @@ def dist_text_per_int(D: DistanceMatrix, fmt: str, head: dict | None = None) -> 
         width = max(len(str(x)) for row in rows for x in row)
         return "".join(" ".join(str(x).rjust(width) for x in row) + "\n" for row in rows)
     return json.dumps(head | {"distances": rows}, indent=2) + "\n"
+
+
+def json_indent2(doc) -> str:
+    """A JSON document as `graphcurv` prints it: json.dumps with indent=2, then a newline.
+
+    This was the library's JSON writer before `graphcurv.cli._write_json`.
+    """
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def transport_vector_rowsum(D: DistanceMatrix, P: Measure) -> tuple[Fraction, ...]:

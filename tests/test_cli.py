@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,10 +12,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphcurv
 from graphcurv import apsp, cli, parse_edge_list, parse_generator_spec, path, serialize, star
-from oracles import dist_text_per_int
+from oracles import dist_text_per_int, json_indent2
 from test_metric import family_graphs_up_to
 
 
@@ -363,6 +365,9 @@ GOLDEN_CASES = [
     for spec, seed in [("star:6", 0), ("path:7", 0), ("cycle:8", 0), ("hypercube:3", 0),
                        ("grid:3,4", 0), ("gnp:12,1/3", 5)]
     for command in ("report", "game")
+] + [
+    # exact curvature, written by json.dumps(doc, indent=2): signed, underdetermined, gnp
+    ("curvature", spec, seed) for spec, seed in [("star:5", 0), ("cycle:6", 0), ("gnp:12,1/3", 5)]
 ]
 
 
@@ -373,6 +378,15 @@ def test_output_matches_golden(capsys, command, spec, seed):
     code, out, err = run(capsys, command, "--input", spec, "--seed", str(seed), "--format", "json")
     assert code == 0, err
     assert out == expected
+
+
+def test_inconsistent_report_prints_then_exits_4(capsys):
+    # tests/data/report_complete_1_seed0.json was written by json.dumps(doc, indent=2)
+    expected = (Path(__file__).parent / "data" / "report_complete_1_seed0.json").read_text()
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "report", "--input", "complete:1", "--format", fmt)
+        assert (code, out) == (4, expected)
+        assert err == "error: D w = n 1 has no solution for this graph (n=1)\n"
 
 
 def run_probe(probe: str) -> str:
@@ -409,3 +423,109 @@ print(codes)
 
 def test_report_and_verify_run_without_scipy():
     assert run_probe(SCIPY_BLOCKED) == str([0] * 8)
+
+
+# --- the JSON writer against json.dumps(doc, indent=2) ---------------------
+
+SPECIAL_CHARS = '%s"\\\x00\n\x1f\x7f\u00e9\u2028\U0001F600'
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL_CHARS)), max_size=6)
+INTS = st.one_of(st.integers(), st.sampled_from([2 ** 64, 2 ** 64 + 1, -(2 ** 70), 10 ** 30]))
+FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                                                 5e-324, 1e16, 1e-7]))
+SCALARS = st.one_of(TEXT, INTS, FLOATS, st.sampled_from([None, True, False]))
+KEYS = st.one_of(TEXT, st.sampled_from(["%", "%s", "%%", "a%sb", "%(x)s", '"', "\\"]))
+ANY_KEYS = st.one_of(KEYS, st.integers(), st.floats(), st.sampled_from([None, True, False]))
+# one strategy per column: a scalar type, a mix of them, a nested dict or a list
+COLUMN_KINDS = [TEXT, INTS, FLOATS, st.booleans(), st.none(), SCALARS,
+                st.one_of(st.booleans(), st.integers()), st.one_of(st.integers(), st.floats()),
+                st.dictionaries(KEYS, SCALARS, max_size=2), st.lists(SCALARS, max_size=2)]
+
+
+@st.composite
+def records(draw):
+    """A list of dicts sharing their keys, some out of order, missing a key or with an extra one."""
+    fields = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in fields]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = {k: draw(kind) for k, kind in zip(fields, kinds)}
+        change = draw(st.sampled_from(["none"] * 4 + ["shuffle", "drop", "add"]))
+        if change == "shuffle":
+            row = {k: row[k] for k in draw(st.permutations(fields))}
+        elif change == "drop":
+            row.pop(draw(st.sampled_from(fields)))
+        elif change == "add":
+            row[draw(KEYS)] = draw(SCALARS)
+        rows.append(row)
+    return rows
+
+
+COLUMNS = st.sampled_from(COLUMN_KINDS[:8]).flatmap(lambda kind: st.lists(kind, min_size=1,
+                                                                           max_size=6))
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, COLUMNS, records()),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(ANY_KEYS, children, max_size=4)),
+    max_leaves=12)
+
+
+def write_json(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_json(doc)
+    return out.getvalue()
+
+
+NAN, INF = float("nan"), float("inf")
+EDGE_DOCUMENTS = [
+    {}, [], [{}], [[]], [{}, {}], {"a": {}, "b": []}, "", 0, -0.0, None,
+    "caf\u00e9 \x00\x1f\x7f \"q\" \\ \u2028 \U0001F600",
+    [NAN, INF, -INF, -0.0, 5e-324, 1e16, 2.0 ** 64], [2 ** 64, -(2 ** 64) - 1, 10 ** 40],
+    [True, False, None], [True, 1, 0, False], [1, 1.0, 2, 2.5], [1, "1", None, [1], {"1": 1}],
+    {"%": "%s", "%s": "%", "%%": "%%s", "%(a)s": "%d"},
+    [{"%": 1, "%s": "%s"}, {"%": 2, "%s": "%d"}],
+    [{"a": 1, "b": 2}, {"b": 3, "a": 4}], [{"a": 1, "b": 2}, {"a": 3}],
+    [{"a": 1}, {"a": 2, "b": 3}],
+    [{"a": 1, "b": {"c": [1, 2], "d": {}}}, {"a": 2, "b": {"c": [], "d": {"e": None}}}],
+    [{"x": True, "y": 1}, {"x": 1, "y": True}], [{"v": 1}, {"v": 1.5}, {"v": NAN}],
+    [{"f": NAN}, {"f": -INF}, {"f": INF}, {"f": -0.0}],
+    [{1: "a"}, {1: "b"}], [{1: "a"}, {True: "b"}], [{1.0: "a"}, {1: "b"}],
+    {1: 1, 2.5: 2, NAN: 3, True: 4, None: 5, -INF: 6},
+    ("t", (1, 2), [(), {"k": (None,)}]),
+]
+
+
+class TestJsonWriter:
+    """`cli._write_json` against the stdlib's indent=2 encoder it replaced."""
+
+    @pytest.mark.parametrize("doc", EDGE_DOCUMENTS,
+                             ids=[f"doc{i}" for i in range(len(EDGE_DOCUMENTS))])
+    def test_edge_cases(self, doc):
+        assert write_json(doc) == json_indent2(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(DOCUMENTS)
+    def test_documents(self, doc):
+        assert write_json(doc) == json_indent2(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records())
+    def test_records(self, doc):
+        assert write_json(doc) == json_indent2(doc)
+
+    @pytest.mark.parametrize("doc", [
+        set(), object(), b"x", 1j, {"a": {1, 2}}, [1, 2, object()], [{"a": 1, "b": 2j}],
+        [{"a": 1}, {"a": b"x"}], {(1, 2): 3}, [{(1,): 1}], {"a": [{"b": frozenset()}]},
+    ], ids=lambda doc: type(doc).__name__)
+    def test_rejects_what_json_rejects(self, doc):
+        with pytest.raises(TypeError):
+            json_indent2(doc)
+        with pytest.raises(TypeError):
+            cli._write_json(doc)
+
+    def test_verify_is_one_write(self):
+        stream = RecordingStream()
+        with contextlib.redirect_stdout(stream):
+            assert cli.main(["verify", "--input", "star:12", "--samples", "30"]) == 0
+        assert len(stream.writes) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -249,6 +250,13 @@ class TestVerifyMinimax:
             expected = list(battery_bounds_int64(D, [mu for _, mu in battery]))
             assert [(r.A, r.B) for r in report.records] == expected, g
 
+    # one column per block, and 2000 bytes: n columns up to n = 15, then
+    # blocks of 2000 // (8 n) columns
+    @pytest.mark.parametrize("block_bytes", [1, 2000])
+    def test_bounds_match_int64_in_narrow_blocks(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
+        self.test_bounds_match_int64_blocks()
+
     @pytest.mark.parametrize("extra", [0, 1])
     def test_float_product_guard_at_2_pow_53(self, extra):
         # max(D) = 2 on path:3, so den = 2^52 is the largest den of a float64
@@ -259,12 +267,28 @@ class TestVerifyMinimax:
         assert mu.den == den
         battery = verifier._as_battery(D, [("edge", mu)])
         N = verifier._transport_block(D, battery.num, battery.den)
-        assert N.dtype == (object if extra else np.int64)
+        assert N.dtype == (object if extra else np.float64)
         dp = transport_vector_rowsum(D, mu)
-        assert [Fraction(x, den) for x in N[:, 0].tolist()] == list(dp)
+        assert [Fraction(x, den) for x in verifier._exact_ints(N[:, 0]).tolist()] == list(dp)
         assert transport_vector(D, mu).dp == dp
         measures = [("edge", mu), ("uniform", measure_uniform(3))]
         assert verify_minimax(D, sol, measures) == verify_minimax_per_measure(D, sol, measures)
+
+    def test_block_products_below_two_copies_of_D(self):
+        # n = 300 takes blocks of 109 columns: float D, then one float Q and
+        # one float N block at a time, about 1.7 x 8 n^2 bytes above the inputs
+        g = gnp(300, Fraction(1, 30), 1)[0]
+        D, sol = solved(g)
+        battery = measure_battery(g.n, samples=100, seed=1)
+        tracemalloc.start()
+        try:
+            report = verify_minimax(D, sol, battery)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * g.n ** 2
+        expected = list(battery_bounds_int64(D, [mu for _, mu in battery]))
+        assert [(r.A, r.B) for r in report.records] == expected
 
     def test_hard_errors_match_per_measure(self):
         # forged inputs against the per-measure oracle: the same first failing

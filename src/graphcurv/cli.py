@@ -503,7 +503,7 @@ def _cmd_report(args) -> int:
     if sol.status is SolveStatus.INCONSISTENT:
         doc["verification"] = None
         doc["game"] = None
-        _write_json(doc)
+        _emit(doc, args.format, _render_report_table)
         raise InconsistentSystemError(f"D w = n 1 has no solution for this graph (n={g.n})")
     gsol = game_value(D)
     doc["verification"] = _verification_doc(D, sol, args.samples, args.seed, gsol)
@@ -516,8 +516,10 @@ def _render_report_table(doc: dict) -> None:
     print(f"radius = {doc['distance']['radius']}, diameter = {doc['distance']['diameter']}")
     c = doc["curvature"]
     print(f"curvature status = {c['status']}, K = {c.get('bound_K')}, nonneg = {c.get('nonneg')}")
-    _render_verify_table(doc["verification"] | {"n": doc["n"]})
-    _render_game_table(doc["game"] | {"n": doc["n"]})
+    if doc["verification"] is not None:
+        _render_verify_table(doc["verification"] | {"n": doc["n"]})
+    if doc["game"] is not None:
+        _render_game_table(doc["game"] | {"n": doc["n"]})
 
 
 if __name__ == "__main__":

@@ -1,20 +1,17 @@
 """Exact solution of D w = n 1 and the curvature bound K = n / ||w||_1.
 
-The exact path first tries Dixon p-adic lifting (`dixon_solve`, Dixon 1982)
-in int64 numpy: D is inverted modulo the fixed prime LIFT_PRIME, the p-adic
-digits of w are lifted one matrix-vector product at a time, and w is read
-off by rational reconstruction (Wang, Guy & Davenport 1982).  A candidate is
-returned only after the integer identity D num = n den 1 holds; an inverse
-mod p proves det D != 0, so the status is then unique.  When D is singular
-mod p (which includes every underdetermined or inconsistent system), the
-step cap is reached, or n is too large for the int64 guard, fraction-free
-Bareiss elimination on Python ints (`bareiss_solve`) decides rank,
-consistency and the particular solution, and its w passes the same
-identity.  The game (graphcurv.game) solves its basis systems the same
-way: lifting first (`dixon_inverse` once, then `dixon_lift` for the basis
-and its transpose), Bareiss when lifting gives up.  The float path is plain
-LU for large instances and never classifies the solution set; it imports
-scipy.linalg only when it runs.
+Every exact solve, this one and the game's basis systems, runs through
+`solve_exact`: for each prime p from LIFT_PRIME down, Gauss-Jordan mod p
+(`_eliminate_mod`) gives the pivot rows I and columns J, and Dixon p-adic
+lifting (`dixon_lift`, Dixon 1982) with rational reconstruction (Wang, Guy
+& Davenport 1982) solves A[I, J] x = b_I and A[I, J] x = A[I, j] for every
+free column j at once.  Null columns that combine only pivot columns left
+of j and hold on every row certify J as the column rank profile over Q
+(Dumas, Pernet & Sultan, ISSAC 2013); otherwise the next prime is tried.
+Then w, free variables zero, satisfies D num = n den 1 on every row, or the
+system is inconsistent.  The float path is plain LU for large instances and
+never classifies the solution set; it imports scipy.linalg only when it
+runs.
 """
 
 from __future__ import annotations
@@ -69,85 +66,53 @@ class FloatSolution:
     condition_hint: float  # reciprocal pivot-growth estimate
 
 
-def bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int], list[int] | None, int]:
-    """Fraction-free Gaussian elimination of the integer system A x = b.
+def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Gauss-Jordan on [A | I] modulo the prime p: (rows, cols, C).
 
-    Bareiss (1968): every entry after step k is a (k+1)-minor of [A | b], so
-    each division by the previous pivot is exact and no gcd is taken.
-    Returns (pivot_cols, num, den).  pivot_cols is the column rank profile of
-    A (the columns where the rank grows), which does not depend on the row
-    pivot rule.  num / den, with den > 0, is the solution whose non-pivot
-    variables are zero; num is None when the system is inconsistent.  A and
-    b are not modified.
+    A column with no pivot left is skipped, so `cols` is the column rank
+    profile of A mod p and `rows` (ascending) are the rows the pivots came
+    from.  A pivot row only ever receives multiples of other pivot rows, so
+    the right-hand block of the pivot rows is zero outside `rows`, and there
+    it is C = A[rows, cols]^-1 mod p, which has no zero column; a full-rank
+    square A gives C = A^-1.  The arithmetic is A's dtype.  Only the pivot
+    column and the pivot row are reduced before they are read; every other
+    entry takes one product below p^2 per step, so in int64 it stays below
+    n p^2 < 2^63.
     """
-    m = len(A)
-    ncols = len(A[0]) if m else 0
-    R = [row[:] + [bi] for row, bi in zip(A, b)]
-    piv_cols: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        r = len(piv_cols)
-        p = next((i for i in range(r, m) if R[i][col]), None)
-        if p is None:
-            continue
-        R[r], R[p] = R[p], R[r]
-        top = R[r][col + 1:]
-        pv = R[r][col]
-        for i in range(r + 1, m):
-            row = R[i]
-            f = row[col]
-            if f:
-                row[col + 1:] = [(pv * x - f * y) // prev for x, y in zip(row[col + 1:], top)]
-            else:
-                row[col + 1:] = [pv * x // prev for x in row[col + 1:]]
-        piv_cols.append(col)
-        prev = pv
-        if len(piv_cols) == m:
-            break
-    rank = len(piv_cols)
-    if any(R[i][ncols] for i in range(rank, m)):
-        return piv_cols, None, 1
-
-    # back substitution over the common denominator det = prev: each
-    # quotient is det * x_c, an integer by Cramer's rule
-    num = [0] * ncols
-    for i in range(rank - 1, -1, -1):
-        row = R[i]
-        s = prev * row[ncols] - sum(row[c] * num[c] for c in piv_cols[i + 1:])
-        num[piv_cols[i]] = s // row[piv_cols[i]]
-    if prev < 0:
-        return piv_cols, [-x for x in num], -prev
-    return piv_cols, num, prev
-
-
-def _inverse_mod(A: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of the square int64 matrix A modulo the prime p, or None if singular mod p.
-
-    Gauss-Jordan on [A | I], vectorised over rows.  Only the pivot column
-    and the pivot row are reduced before they are read; every other entry
-    takes one product below p^2 per step, so it stays below n p^2 < 2^63.
-    """
-    n = len(A)
-    M = np.zeros((n, 2 * n), dtype=np.int64)
-    M[:, :n] = A % p
-    M[:, n:] = np.eye(n, dtype=np.int64)
-    for k in range(n):
-        col = M[k:, k]
+    m, k = A.shape
+    M = np.zeros((m, k + m), dtype=A.dtype)
+    M[:, :k] = A % p
+    M[:, k:] = np.eye(m, dtype=A.dtype)
+    cols: list[int] = []
+    for c in range(k):
+        r = len(cols)
+        col = M[r:, c]
         col %= p
         nz = np.flatnonzero(col)
         if nz.size == 0:
-            return None
-        r = k + int(nz[0])
-        if r != k:
-            M[[k, r]] = M[[r, k]]
-        row = M[k, k:]
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        row = M[r, c:]
         row %= p
         row *= pow(int(row[0]), p - 2, p)
         row %= p
-        f = M[:, k] % p
-        f[k] = 0
-        M[:, k:] -= np.outer(f, row)
-    return M[:, n:] % p
+        f = M[:, c] % p
+        f[r] = 0
+        M[:, c:] -= np.outer(f, row)
+        cols.append(c)
+    C = M[:len(cols), k:] % p
+    rows = np.flatnonzero(C.any(axis=0))
+    return rows.tolist(), cols, C if len(rows) == m else C[:, rows]
+
+
+def _primes():
+    """LIFT_PRIME, then the primes below it in descending order, by trial division."""
+    yield LIFT_PRIME
+    for q in range(LIFT_PRIME - 1, 1, -1):
+        if all(q % d for d in range(2, isqrt(q) + 1)):
+            yield q
 
 
 def _lift_steps(n: int, a: int, beta: int, p: int) -> int:
@@ -198,80 +163,125 @@ def _reconstruct(u: list[int], m: int) -> tuple[list[int], int] | None:
     return num, den
 
 
-def _satisfies(A: np.ndarray, b: list[int], num: list[int], den: int) -> bool:
-    """The exact integer identity A num == den b, on Python ints."""
-    lhs = A.astype(object) @ np.array(num, dtype=object)
-    return all(x == den * bi for x, bi in zip(lhs, b))
+def _holds(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]], bound: int) -> list[bool]:
+    """For each column j of B, whether A num_j == den_j B[:, j] exactly, for sols[j] = (num_j, den_j).
 
-
-def dixon_solve(A: np.ndarray, b: list[int]) -> tuple[list[int], int] | None:
-    """num, den > 0 with A num = den b exactly, by Dixon p-adic lifting, or None.
-
-    A is a square int64 matrix.  With C = A^-1 mod p, each step takes
-    x = C (r mod p) mod p and r <- (r - A x) / p, an exact int64 division, so
-    sum_i x_i p^i solves A w = b modulo p^k after k steps.  w is
-    reconstructed after 2, 4, 8, ... steps and at the cap `_lift_steps`, and
-    returned only once A num == den b holds.  None when A is singular mod p
-    (every singular A is), when the cap is reached, or when an int64 sum
-    could overflow; the caller then eliminates exactly.
+    `bound` is at least every |entry| of A and B.  The products run in int64
+    when no sum can overflow, else on Python ints.
     """
-    C = dixon_inverse(A, max(map(abs, b), default=0))
-    return None if C is None else dixon_lift(A, C, b)
+    if not sols:
+        return []
+    nums, dens = zip(*sols)
+    big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
+    exact = A.dtype != object and big * bound * max(1, A.shape[1]) < 2**63
+    dtype = np.int64 if exact else object
+    return (A @ np.array(nums, dtype=dtype).T == B * np.array(dens, dtype=dtype)).all(0).tolist()
 
 
-def dixon_inverse(A: np.ndarray, beta: int) -> np.ndarray | None:
-    """A^-1 mod LIFT_PRIME for lifting right-hand sides up to beta in magnitude.
+def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
+    """num_j, den_j > 0 with A num_j = den_j B[:, j] exactly, by Dixon p-adic lifting.
 
-    None when A is singular mod p, or when an int64 sum could overflow.
+    A is square, C = A^-1 mod the prime p, and B has k columns; all three
+    share A's dtype.  Each step takes X = C (R mod p) mod p and
+    R <- (R - A X) / p, an exact division and one product for every column,
+    so sum_i X_i p^i solves A W = B modulo p^i (Dixon 1982).  Columns are
+    reconstructed (Wang, Guy & Davenport 1982) after 2, 4, 8, ... steps and
+    at the cap `_lift_steps`, and a column is kept, and no longer lifted,
+    once its identity holds.  A column left at the cap means the kernel is
+    wrong: HardVerificationError.
     """
-    n = len(A)
-    a = int(np.abs(A).max(initial=0))
-    # |r| stays below beta + 2 n a, so r - A x stays below n p (2 a + beta)
-    if n > LIFT_MAX_N or n * LIFT_PRIME * (2 * a + beta) >= 2**63:
-        return None
-    return _inverse_mod(A, LIFT_PRIME)
-
-
-def dixon_lift(A: np.ndarray, C: np.ndarray, b: list[int]) -> tuple[list[int], int] | None:
-    """`dixon_solve`'s lifting, with C = A^-1 mod p from `dixon_inverse`."""
-    p = LIFT_PRIME
-    n = len(A)
-    steps = _lift_steps(n, int(np.abs(A).max(initial=0)), max(map(abs, b), default=0), p)
-    r = np.array(b, dtype=np.int64)
-    u = [0] * n
+    n, k = B.shape
+    a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
+    steps = _lift_steps(n, a, beta, p)
+    sols: list = [None] * k
+    left = list(range(k))  # the columns still lifted, their right-hand sides and expansions so far
+    Bl, R, U = B, B, [[0] * n for _ in left]
     pk = 1
     attempt = 2
     for step in range(1, steps + 1):
-        x = C @ (r % p) % p
-        r = (r - A @ x) // p
-        u = [ui + xi * pk for ui, xi in zip(u, x.tolist())]
+        X = C @ (R % p) % p
+        R = (R - A @ X) // p
+        U = [[ui + xi * pk for ui, xi in zip(u, x)] for u, x in zip(U, X.T.tolist())]
         pk *= p
         if step == attempt or step == steps:
             attempt *= 2
-            cand = _reconstruct(u, pk)
-            if cand is not None and _satisfies(A, b, *cand):
-                return cand
-    return None
+            cands = [_reconstruct(u, pk) for u in U]
+            found = [t for t, cand in enumerate(cands) if cand is not None]
+            sub = Bl if len(found) == len(left) else Bl[:, found]
+            for t, ok in zip(found, _holds(A, sub, [cands[t] for t in found], max(a, beta))):
+                if ok:
+                    sols[left[t]] = cands[t]
+            keep = [t for t, j in enumerate(left) if sols[j] is None]
+            if not keep:
+                return sols
+            left, Bl, R, U = [left[t] for t in keep], Bl[:, keep], R[:, keep], [U[t] for t in keep]
+    raise HardVerificationError(
+        f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
+
+
+def _certified_solve(
+    A: np.ndarray, b: list[int]
+) -> tuple[list[int], list[int] | None, int, tuple[np.ndarray, np.ndarray, int]]:
+    """`solve_exact`, plus (A, C, p) of the elimination it certified.
+
+    A is in the dtype the lift ran in.  When A has full rank C = A^-1 mod p,
+    so a caller can lift A^T on C^T without eliminating again.  For each
+    prime, [b_I | A[I, F]] is lifted on A[I, J] for the pivot rows I, pivot
+    columns J and free columns F.
+    """
+    m, k = A.shape
+    size = max(m, k)
+    a = int(np.abs(A).max(initial=0))
+    # free columns of A join b on the right-hand side, so the lift's |R| stays
+    # below beta + 2 size a for beta = max(a, |b|), and R - A X below size p (2 a + beta)
+    beta = max([a, *map(abs, b)])
+    if size > LIFT_MAX_N or size * LIFT_PRIME * (2 * a + beta) >= 2**63:
+        A = A.astype(object)
+    bvec = np.array(b, dtype=A.dtype)
+    for p in _primes():
+        rows, cols, C = _eliminate_mod(A, p)
+        if len(cols) == m == k:  # full rank: the lift's certificate covers every row
+            (num, den), = dixon_lift(A, C, bvec[:, None], p)
+            return cols, num, den, (A, C, p)
+        free = sorted(set(range(k)) - set(cols))
+        sub = A[np.ix_(rows, cols)]
+        rhs = np.column_stack([bvec[rows], A[np.ix_(rows, free)]])
+        (num, den), *nulls = dixon_lift(sub, C, rhs, p)
+        # each free column j must lie in the span of the pivot columns left of
+        # it, on every row: then cols is the rank profile over Q
+        if any(x for j, (x_j, _) in zip(free, nulls) for c, x in zip(cols, x_j) if c > j):
+            continue
+        other = sorted(set(range(m)) - set(rows))
+        rest = A[np.ix_(other, cols)]
+        if not all(_holds(rest, A[np.ix_(other, free)], nulls, beta)):
+            continue
+        # the only candidate on the pivot rows must hold on the others too
+        if not _holds(rest, bvec[other, None], [(num, den)], beta)[0]:
+            return cols, None, 1, (A, C, p)
+        full = [0] * k
+        for c, x in zip(cols, num):
+            full[c] = x
+        return cols, full, den, (A, C, p)
+    raise HardVerificationError("no prime certified the rank profile")
+
+
+def solve_exact(A: np.ndarray, b: list[int]) -> tuple[list[int], list[int] | None, int]:
+    """Exact solution of the integer system A x = b: (pivot_cols, num, den).
+
+    pivot_cols is the column rank profile of A over Q, and num / den, with
+    den > 0, the solution whose non-pivot variables are zero; num is None
+    when the system is inconsistent.  The module docstring gives the method.
+    """
+    return _certified_solve(A, b)[:3]
 
 
 def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
-    """Exact solution of D w = n 1: p-adic lifting, else fraction-free elimination.
-
-    w is returned only after the integer identity D num = n den 1 holds.
-    """
+    """Exact solution of D w = n 1 by `solve_exact`, certified on every row."""
     n = D.n
-    b = [n] * n
-    lifted = dixon_solve(D.entries, b)
-    if lifted is not None:
-        num, den = lifted
-        rank = n  # an inverse mod p proves det D != 0
-    else:
-        piv_cols, num, den = bareiss_solve(D.entries.tolist(), b)
-        rank = len(piv_cols)
-        if num is None:
-            return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)
-        if not _satisfies(D.entries, b, num, den):
-            raise HardVerificationError("exact solve failed its check D num = n den 1")
+    piv_cols, num, den = solve_exact(D.entries, [n] * n)
+    rank = len(piv_cols)
+    if num is None:
+        return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)
     w = [Fraction(x, den) for x in num]
 
     l1 = sum((abs(x) for x in w), Fraction(0))

@@ -16,12 +16,11 @@ The solve is exact at close to float cost, in the manner of QSopt_ex
   1. a float64 simplex with Dantzig's largest-reduced-cost rule, which
      needs 5-10x fewer pivots than Bland's, yields its final basis when
      that tableau looks nondegenerate;
-  2. the basis is solved exactly, by p-adic lifting on one inverse mod p
-     for the basis and its transpose (graphcurv.curvature.dixon_lift) or
-     else fraction-free Bareiss elimination, and the pair must pass the
-     optimality certificates below and an exact uniqueness check
-     (`_unique_optimum`): a unique optimum is the one Bland's rule reaches
-     too, so the answer does not depend on the rule;
+  2. the basis is solved exactly (graphcurv.curvature.solve_exact) and its
+     transpose lifted on the same inverse mod p, one elimination for both,
+     and the pair must pass the optimality certificates below and an exact
+     uniqueness check (`_unique_optimum`): a unique optimum is the one
+     Bland's rule reaches too, so the answer does not depend on the rule;
   3. otherwise the same loop, Bland's rule, runs in float64 and its final
      basis is solved and certified the same way, without the uniqueness
      check;
@@ -45,9 +44,8 @@ import numpy as np
 from .curvature import (
     CurvatureSolution,
     SolveStatus,
-    bareiss_solve,
+    _certified_solve,
     curvature_bound,
-    dixon_inverse,
     dixon_lift,
     solve_curvature,
 )
@@ -291,21 +289,20 @@ def _basis_pair(
     They solve B z = 1 and B^T pi = c_B.  A basic slack s has z on its own
     row and pi_s = 0, so both reduce to the square system on the basic y
     columns Y and the rows R without a basic slack: M[R, Y] y_Y = 1 and
-    M[R, Y]^T pi_R = 1.  Each is solved by p-adic lifting, else by Bareiss.
-    Returns None when that system is singular.
+    M[R, Y]^T pi_R = 1.  The first is solved exactly (`solve_exact`), and
+    the second is lifted on the transpose of the inverse mod p that solve
+    certified, so one elimination serves both.  Returns None when the
+    system is singular.
     """
     n = len(M)
     cols = [j for j in basis if j < n]
     slack_rows = {j - n for j in basis if j >= n}
     rows = [i for i in range(n) if i not in slack_rows]
     B = M[np.ix_(rows, cols)]
-    # C^T inverts B^T, so one inverse mod p serves both lifts
-    C = dixon_inverse(B, 1)
-    primal = _solve_ones(B, C)
-    dual = _solve_ones(B.T, None if C is None else np.ascontiguousarray(C.T))
-    if primal is None or dual is None:
+    pivots, z, den, (A, C, p) = _certified_solve(B, [1] * len(B))
+    if len(pivots) < len(B):
         return None
-    (z, den), (pi, pi_den) = primal, dual
+    (pi, pi_den), = dixon_lift(A.T, np.ascontiguousarray(C.T), np.ones((len(B), 1), A.dtype), p)
     y = [Fraction(0)] * n
     for j, zj in zip(cols, z):
         y[j] = Fraction(zj, den)
@@ -313,16 +310,3 @@ def _basis_pair(
     for i, pj in zip(rows, pi):
         duals[i] = Fraction(pj, pi_den)
     return y, duals
-
-
-def _solve_ones(A: np.ndarray, C: np.ndarray | None) -> tuple[list[int], int] | None:
-    """num, den with A num = den 1 for the square int64 A, or None when A is singular.
-
-    Lifts with C = A^-1 mod p when given, else eliminates by Bareiss.
-    """
-    ones = [1] * len(A)
-    lifted = None if C is None else dixon_lift(A, C, ones)
-    if lifted is not None:
-        return lifted
-    piv, num, den = bareiss_solve(A.tolist(), ones)
-    return (num, den) if len(piv) == len(A) else None

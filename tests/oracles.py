@@ -2,16 +2,16 @@
 
 These deliberately take different algorithmic routes than the library
 (Floyd-Warshall instead of BFS, dense float LP instead of exact simplex,
-Gaussian elimination over Fractions instead of p-adic lifting or
-fraction-free Bareiss, row
-sums in Python instead of one matrix product, scalar instead of vectorized
+Gaussian elimination over Fractions or fraction-free Bareiss instead of
+modular elimination and p-adic lifting, row sums in Python instead of one matrix product, scalar instead of vectorized
 SplitMix, one Fraction per measure entry instead of integer numerators over
 one denominator, one transport vector per measure instead of one product per
 block of measures, one str per distance instead of gathered byte words) so
 agreement is meaningful.  Where a fast path kept the
 library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
-with one inverse mod p per system, the exact Bland simplex on its own
+with one elimination mod p per system, the inverse mod p that gave up on a
+column without a pivot, the exact Bland simplex on its own
 list-of-Fractions tableau, the battery as a list of `Measure`s with int64
 block products, JSON through the stdlib's indent=2 encoder), the replaced
 code is kept here verbatim and must give identical results.
@@ -48,7 +48,7 @@ from graphcurv import (
     transport_vector,
     validate,
 )
-from graphcurv.curvature import FLOAT_PIVOT_FLOOR, bareiss_solve, dixon_solve
+from graphcurv.curvature import FLOAT_PIVOT_FLOOR, solve_exact
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
@@ -303,6 +303,93 @@ def game_value_float(D: np.ndarray) -> float:
     return 1.0 / res.fun - 1.0
 
 
+def bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int], list[int] | None, int]:
+    """Fraction-free Gaussian elimination of the integer system A x = b.
+
+    Bareiss (1968): every entry after step k is a (k+1)-minor of [A | b], so
+    each division by the previous pivot is exact and no gcd is taken.
+    Returns (pivot_cols, num, den).  pivot_cols is the column rank profile of
+    A (the columns where the rank grows), which does not depend on the row
+    pivot rule.  num / den, with den > 0, is the solution whose non-pivot
+    variables are zero; num is None when the system is inconsistent.  A and
+    b are not modified.
+
+    This was the library's solver for every system that lifting gave up on,
+    before `graphcurv.curvature.solve_exact` certified the rank profile mod p.
+    """
+    m = len(A)
+    ncols = len(A[0]) if m else 0
+    R = [row[:] + [bi] for row, bi in zip(A, b)]
+    piv_cols: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        r = len(piv_cols)
+        p = next((i for i in range(r, m) if R[i][col]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        top = R[r][col + 1:]
+        pv = R[r][col]
+        for i in range(r + 1, m):
+            row = R[i]
+            f = row[col]
+            if f:
+                row[col + 1:] = [(pv * x - f * y) // prev for x, y in zip(row[col + 1:], top)]
+            else:
+                row[col + 1:] = [pv * x // prev for x in row[col + 1:]]
+        piv_cols.append(col)
+        prev = pv
+        if len(piv_cols) == m:
+            break
+    rank = len(piv_cols)
+    if any(R[i][ncols] for i in range(rank, m)):
+        return piv_cols, None, 1
+
+    # back substitution over the common denominator det = prev: each
+    # quotient is det * x_c, an integer by Cramer's rule
+    num = [0] * ncols
+    for i in range(rank - 1, -1, -1):
+        row = R[i]
+        s = prev * row[ncols] - sum(row[c] * num[c] for c in piv_cols[i + 1:])
+        num[piv_cols[i]] = s // row[piv_cols[i]]
+    if prev < 0:
+        return piv_cols, [-x for x in num], -prev
+    return piv_cols, num, prev
+
+
+def inverse_mod(A: np.ndarray, p: int) -> np.ndarray | None:
+    """Inverse of the square int64 matrix A modulo the prime p, or None if singular mod p.
+
+    This was the library's elimination kernel before `_eliminate_mod` skipped
+    the columns without a pivot instead of giving up.
+
+    Gauss-Jordan on [A | I], vectorised over rows.  Only the pivot column
+    and the pivot row are reduced before they are read; every other entry
+    takes one product below p^2 per step, so it stays below n p^2 < 2^63.
+    """
+    n = len(A)
+    M = np.zeros((n, 2 * n), dtype=np.int64)
+    M[:, :n] = A % p
+    M[:, n:] = np.eye(n, dtype=np.int64)
+    for k in range(n):
+        col = M[k:, k]
+        col %= p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            return None
+        r = k + int(nz[0])
+        if r != k:
+            M[[k, r]] = M[[r, k]]
+        row = M[k, k:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        f = M[:, k] % p
+        f[k] = 0
+        M[:, k:] -= np.outer(f, row)
+    return M[:, n:] % p
+
+
 def solve_system_fraction_lstsq(D: np.ndarray, n: int) -> list[Fraction] | None:
     """Tiny-system solver by Cramer's rule; None when det = 0.
 
@@ -443,7 +530,7 @@ def solve_curvature_float_copied(D: DistanceMatrix) -> FloatSolution | None:
 def basis_pair_two_inverses(
     M: np.ndarray, basis: list[int]
 ) -> tuple[list[Fraction], list[Fraction]] | None:
-    """`graphcurv.game._basis_pair` with B and B^T each lifted on its own inverse mod p.
+    """`graphcurv.game._basis_pair` with B and B^T each solved on its own elimination mod p.
 
     This was the library's basis solve before one inverse served both.
     """
@@ -454,14 +541,10 @@ def basis_pair_two_inverses(
     B = M[np.ix_(rows, cols)]
     pair = []
     for A in (B, B.T):
-        ones = [1] * len(A)
-        lifted = dixon_solve(A, ones)
-        if lifted is None:
-            piv, num, den = bareiss_solve(A.tolist(), ones)
-            if len(piv) < len(A):
-                return None
-            lifted = num, den
-        pair.append(lifted)
+        piv, num, den = solve_exact(A, [1] * len(A))
+        if len(piv) < len(A):
+            return None
+        pair.append((num, den))
     (z, den), (pi, pi_den) = pair
     y = [Fraction(0)] * n
     for j, zj in zip(cols, z):

@@ -368,6 +368,10 @@ GOLDEN_CASES = [
 ] + [
     # exact curvature, written by json.dumps(doc, indent=2): signed, underdetermined, gnp
     ("curvature", spec, seed) for spec, seed in [("star:5", 0), ("cycle:6", 0), ("gnp:12,1/3", 5)]
+] + [
+    # the benchmark's underdetermined instances, written before the modular
+    # rank-profile solve replaced fraction-free elimination
+    ("curvature", spec, 0) for spec in ("hypercube:5", "grid:5,8", "cycle:40", "grid:8,10")
 ]
 
 
@@ -382,10 +386,15 @@ def test_output_matches_golden(capsys, command, spec, seed):
 
 def test_inconsistent_report_prints_then_exits_4(capsys):
     # tests/data/report_complete_1_seed0.json was written by json.dumps(doc, indent=2)
-    expected = (Path(__file__).parent / "data" / "report_complete_1_seed0.json").read_text()
+    # the table has the graph, distance and curvature lines and no verification or game
+    expected = {
+        "json": (Path(__file__).parent / "data" / "report_complete_1_seed0.json").read_text(),
+        "table": "graph: complete:1 (n = 1, m = 0)\nradius = 0, diameter = 0\n"
+                 "curvature status = inconsistent, K = None, nonneg = None\n",
+    }
     for fmt in ("json", "table"):
         code, out, err = run(capsys, "report", "--input", "complete:1", "--format", fmt)
-        assert (code, out) == (4, expected)
+        assert (code, out) == (4, expected[fmt])
         assert err == "error: D w = n 1 has no solution for this graph (n=1)\n"
 
 

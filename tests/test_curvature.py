@@ -1,5 +1,7 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -26,8 +28,10 @@ from graphcurv import (
     transitive_oracle,
 )
 from graphcurv import curvature
-from graphcurv.curvature import bareiss_solve, dixon_solve
+from graphcurv.curvature import _eliminate_mod, solve_exact
 from oracles import (
+    bareiss_solve,
+    inverse_mod,
     solve_curvature_float_copied,
     solve_curvature_fraction,
     solve_system_fraction,
@@ -230,7 +234,8 @@ class TestFloatSolver:
 
 
 class TestBareissAgainstFractionOracle:
-    """The fraction-free solver against the Fraction elimination it replaced."""
+    """The exact solve against the Fraction elimination that preceded it, and
+    the modular kernel against the fraction-free elimination it replaced."""
 
     @staticmethod
     def assert_agrees(g):
@@ -254,42 +259,164 @@ class TestBareissAgainstFractionOracle:
     def test_underdetermined_families(self, g):
         self.assert_agrees(g)
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda rows: st.tuples(
+    # A is made low-rank by repeating a combination of its own rows, so
+    # skipped pivot columns and inconsistent right-hand sides both occur
+    LOW_RANK_SYSTEMS = st.integers(1, 6).flatmap(lambda rows: st.tuples(
         st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
                  min_size=rows, max_size=rows),
         st.lists(st.integers(-3, 3), min_size=rows, max_size=rows),
-        st.integers(1, 5))))
-    def test_kernel_on_integer_systems(self, system):
-        # A is made low-rank by repeating a combination of its own rows, so
-        # skipped pivot columns and inconsistent right-hand sides both occur
+        st.integers(1, 5)))
+
+    @staticmethod
+    def assert_matches_bareiss(system):
         A, b, k = system
         A = A + [[k * x + y for x, y in zip(A[0], A[-1])]]
         b = b + [k * b[0] + b[-1] + (k % 2)]
-        piv_cols, num, den = bareiss_solve(A, b)
+        piv_cols, num, den = solve_exact(np.array(A, dtype=np.int64), b)
+        b_piv, b_num, b_den = bareiss_solve(A, b)
+        assert piv_cols == b_piv
+        assert (num is None) == (b_num is None)
         ranks = [np.linalg.matrix_rank(np.array(A)[:, :c]) if c else 0 for c in range(6)]
         assert piv_cols == [c for c in range(5) if ranks[c + 1] > ranks[c]]
         consistent = np.linalg.matrix_rank(np.column_stack([A, b])) == ranks[5]
         assert (num is not None) == consistent
         if consistent:
             assert den > 0
+            assert [Fraction(x, den) for x in num] == [Fraction(x, b_den) for x in b_num]
             assert all(num[c] == 0 for c in range(5) if c not in piv_cols)
             assert all(sum(a * x for a, x in zip(row, num)) == den * bi for row, bi in zip(A, b))
 
+    @settings(max_examples=80, deadline=None)
+    @given(LOW_RANK_SYSTEMS)
+    def test_kernel_on_integer_systems(self, system):
+        self.assert_matches_bareiss(system)
+
+    @settings(max_examples=150, deadline=None)
+    @given(LOW_RANK_SYSTEMS)
+    def test_kernel_on_integer_systems_small_primes_first(self, system):
+        # mod 2, 3, 5 and 7 many of these systems lose rank, so the certificate
+        # has to reject the rank profile and move on
+        with pytest.MonkeyPatch.context() as m:
+            small_primes_first(m)
+            self.assert_matches_bareiss(system)
+
+
+def small_primes_first(monkeypatch, first=(2, 3, 5, 7)):
+    """Make the exact solve try the primes `first` before LIFT_PRIME."""
+    primes = curvature._primes
+
+    def patched():
+        yield from first
+        yield from primes()
+
+    monkeypatch.setattr(curvature, "_primes", patched)
+
+
+class TestCertifiedRankProfile:
+    """What a prime that loses rank gets wrong, and the checks that catch it."""
+
+    # (A, b, a prime that loses rank, Bareiss's pivot columns and w)
+    UNLUCKY = [
+        # mod 2 column 0 vanishes, so column 1 is the pivot; the null vector of
+        # column 0 then has weight on column 1, right of it
+        ([[-4, -3, 12, -5, -2, 8]], [-10], 2, [0], [Fraction(5, 2), 0, 0, 0, 0, 0]),
+        # mod 2 the rows agree: column 1 = column 0 holds on row 0 only
+        ([[1, 1], [1, 3]], [2, 4], 2, [0, 1], [1, 1]),
+        # mod 3 rank 1; over Q rank 2, and b is in the range
+        ([[1, 2], [2, 1], [3, 3]], [3, 3, 6], 3, [0, 1], [1, 1]),
+    ]
+
+    @pytest.mark.parametrize("A,b,p,pivots,w", UNLUCKY)
+    def test_unlucky_prime_is_rejected(self, A, b, p, pivots, w, monkeypatch):
+        A = np.array(A, dtype=np.int64)
+        assert _eliminate_mod(A, p)[1] != pivots
+        primes = []
+        eliminate = curvature._eliminate_mod
+
+        def spy(A, q):
+            primes.append(q)
+            return eliminate(A, q)
+
+        monkeypatch.setattr(curvature, "_eliminate_mod", spy)
+        small_primes_first(monkeypatch, (p,))
+        piv, num, den = solve_exact(A, b)
+        assert (piv, [Fraction(x, den) for x in num]) == (pivots, w)
+        assert primes == [p, curvature.LIFT_PRIME]
+
+    def test_primes_descend_against_a_sieve(self, monkeypatch):
+        def descending_primes(lo, hi):
+            """The primes in [lo, hi], largest first, by a sieve of Eratosthenes on that window."""
+            composite = np.zeros(hi - lo + 1, dtype=bool)
+            for d in range(2, isqrt(hi) + 1):
+                composite[max(d * d, -(-lo // d) * d) - lo::d] = True
+            return [q for q in range(hi, max(lo, 2) - 1, -1) if not composite[q - lo]]
+
+        top = curvature.LIFT_PRIME
+        expected = descending_primes(top - 2000, 2**25)
+        assert expected[0] == top
+        assert list(itertools.islice(curvature._primes(), len(expected))) == expected
+        # every prime is found, down to 2
+        monkeypatch.setattr(curvature, "LIFT_PRIME", 9973)
+        assert list(curvature._primes()) == descending_primes(0, 9973)
+
+
+def _rank_mod(A: np.ndarray, p: int) -> int:
+    """Rank of A modulo the prime p, by row reduction on Python ints."""
+    R = [[int(x) % p for x in row] for row in A.tolist()]
+    rank = 0
+    for c in range(len(R[0])):
+        i = next((i for i in range(rank, len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        R[rank], R[i] = R[i], R[rank]
+        inv = pow(R[rank][c], p - 2, p)
+        R[rank] = [x * inv % p for x in R[rank]]
+        for j in range(len(R)):
+            if j != rank and R[j][c]:
+                f = R[j][c]
+                R[j] = [(x - f * y) % p for x, y in zip(R[j], R[rank])]
+        rank += 1
+    return rank
+
+
+class TestEliminateMod:
+    """The Gauss-Jordan kernel against the inverse it generalises."""
+
+    MATRICES = [apsp(g).entries for g in (path(3), cycle(7), gnp(40, Fraction(1, 5), 1)[0],
+                                          star(9), complete(5))]
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_full_rank_matches_inverse_mod(self, A):
+        p = curvature.LIFT_PRIME
+        rows, cols, C = _eliminate_mod(A, p)
+        assert rows == cols == list(range(len(A)))
+        assert np.array_equal(C, inverse_mod(A, p))
+        assert np.array_equal(A.astype(object) @ C.astype(object) % p, np.eye(len(A), dtype=int))
+
+    def test_python_ints_match_int64(self):
+        A = self.MATRICES[2]
+        rows, cols, C = _eliminate_mod(A.astype(object), 101)
+        assert C.dtype == object
+        expected = _eliminate_mod(A, 101)
+        assert (rows, cols) == expected[:2] and np.array_equal(C, expected[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda m: st.integers(1, 7).flatmap(lambda k: st.lists(
+        st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=m, max_size=m))),
+        st.sampled_from([2, 3, 7, 33554393]))
+    def test_rank_deficient_blocks_are_inverted(self, A, p):
+        A = np.array(A, dtype=np.int64)
+        rows, cols, C = _eliminate_mod(A, p)
+        assert rows == sorted(set(rows)) and cols == sorted(set(cols))
+        block = A[np.ix_(rows, cols)].astype(object)
+        assert np.array_equal(C.astype(object) @ block % p, np.eye(len(cols), dtype=int))
+        # cols is the rank profile mod p: each leading block of columns has the rank it counts
+        assert [sum(c < k for c in cols) for k in range(1, A.shape[1] + 1)] == [
+            _rank_mod(A[:, :k], p) for k in range(1, A.shape[1] + 1)]
+
 
 class TestDixonLifting:
-    """The p-adic lifting kernel against the Fraction oracle, and its fallbacks."""
-
-    @staticmethod
-    def spy_bareiss(monkeypatch):
-        calls = []
-
-        def spy(A, b):
-            calls.append(len(A))
-            return bareiss_solve(A, b)
-
-        monkeypatch.setattr(curvature, "bareiss_solve", spy)
-        return calls
+    """The p-adic lifting kernel against the Fraction oracle, and its certificates."""
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(17, 48),
@@ -306,27 +433,22 @@ class TestDixonLifting:
         st.lists(st.integers(-50, 50), min_size=n, max_size=n))))
     def test_kernel_on_integer_systems(self, system):
         A, b = system
-        status, _, x = solve_system_fraction(A, b)
-        lifted = dixon_solve(np.array(A, dtype=np.int64), b)
-        if status is not SolveStatus.UNIQUE:
-            assert lifted is None  # a singular A is singular mod p
-            return
-        _, _, det = bareiss_solve(A, [0] * len(A))
-        if lifted is None:
-            assert det % curvature.LIFT_PRIME == 0
-            return
-        num, den = lifted
-        assert den > 0
-        assert tuple(Fraction(v, den) for v in num) == x
+        status, nullity, x = solve_system_fraction(A, b)
+        piv, num, den = solve_exact(np.array(A, dtype=np.int64), b)
+        assert len(A) - len(piv) == nullity
+        assert (num is None) == (status is SolveStatus.INCONSISTENT)
+        if num is not None:
+            assert den > 0
+            assert tuple(Fraction(v, den) for v in num) == x
 
     @pytest.mark.parametrize("g", [gnp(120, Fraction(1, 12), 1)[0], gnp(60, Fraction(1, 6), 3)[0],
                                    path(60), star(40), cycle(41)])
     def test_kernel_matches_bareiss_at_larger_n(self, g):
         D = apsp(g)
         n = g.n
-        num, den = dixon_solve(D.entries, [n] * n)
+        piv, num, den = solve_exact(D.entries, [n] * n)
         piv_cols, b_num, b_den = bareiss_solve(D.entries.tolist(), [n] * n)
-        assert len(piv_cols) == n
+        assert piv == piv_cols == list(range(n))
         assert [Fraction(x, den) for x in num] == [Fraction(x, b_den) for x in b_num]
 
     def test_early_candidate_is_certified_before_it_is_returned(self):
@@ -336,69 +458,80 @@ class TestDixonLifting:
         p = curvature.LIFT_PRIME
         early = curvature._reconstruct([beta * pow(a, -1, p * p) % (p * p)], p * p)
         assert early is not None and Fraction(early[0][0], early[1]) != Fraction(beta, a)
-        assert dixon_solve(np.array([[a]], dtype=np.int64), [beta]) == ([beta], a)
+        assert solve_exact(np.array([[a]], dtype=np.int64), [beta]) == ([0], [beta], a)
 
-    def test_uncertified_candidates_fall_back_to_bareiss(self, monkeypatch):
-        D, expected = apsp(path(3)), solve_curvature_fraction(apsp(path(3)))
+    def test_uncertified_candidates_raise(self, monkeypatch):
         monkeypatch.setattr(curvature, "_reconstruct", lambda u, m: ([3, 1, 3], 2))
-        assert dixon_solve(D.entries, [3] * 3) is None
-        calls = self.spy_bareiss(monkeypatch)
-        sol = solve_curvature(D)
-        assert calls == [3]
-        assert (sol.status, sol.nullity, sol.w) == expected
+        with pytest.raises(HardVerificationError, match="cap"):
+            solve_curvature(apsp(path(3)))
+
+    def test_wrong_elimination_is_refused(self, monkeypatch):
+        # an inverse that is off in one entry never lifts to a certified w
+        eliminate = curvature._eliminate_mod
+
+        def corrupt(A, p):
+            rows, cols, C = eliminate(A, p)
+            C = C.copy()
+            C[0, 0] = (C[0, 0] + 1) % p
+            return rows, cols, C
+
+        monkeypatch.setattr(curvature, "_eliminate_mod", corrupt)
+        with pytest.raises(HardVerificationError, match="cap"):
+            solve_curvature(apsp(path(3)))
 
     def test_singular_mod_p_falls_back(self, monkeypatch):
-        # det D(path:3) = 4, so D has no inverse mod 2
+        # det D(path:3) = 4, so D has no inverse mod 2 and the next prime solves it
         D = apsp(path(3))
-        monkeypatch.setattr(curvature, "LIFT_PRIME", 2)
-        assert dixon_solve(D.entries, [3] * 3) is None
-        calls = self.spy_bareiss(monkeypatch)
+        assert len(_eliminate_mod(D.entries, 2)[1]) == 2
+        small_primes_first(monkeypatch, (2,))
         sol = solve_curvature(D)
-        assert calls == [3]
         assert sol.status is SolveStatus.UNIQUE
         assert sol.w == (Fraction(3, 2), Fraction(0), Fraction(3, 2))
 
-    def test_step_cap_falls_back(self, monkeypatch):
+    def test_step_cap_raises(self, monkeypatch):
         D = apsp(gnp(40, Fraction(1, 5), 1)[0])
-        expected = solve_curvature_fraction(D)
         monkeypatch.setattr(curvature, "_lift_steps", lambda n, a, beta, p: 1)
-        assert dixon_solve(D.entries, [40] * 40) is None
-        calls = self.spy_bareiss(monkeypatch)
-        sol = solve_curvature(D)
-        assert calls == [40]
-        assert (sol.status, sol.nullity, sol.w) == expected
+        with pytest.raises(HardVerificationError, match="cap of 1 steps"):
+            solve_curvature(D)
+
+    @staticmethod
+    def spy_dtypes(monkeypatch):
+        dtypes = []
+        eliminate = curvature._eliminate_mod
+
+        def spy(A, p):
+            dtypes.append(A.dtype)
+            return eliminate(A, p)
+
+        monkeypatch.setattr(curvature, "_eliminate_mod", spy)
+        return dtypes
 
     def test_size_guard_falls_back(self, monkeypatch):
+        # past the guard the same kernel runs on Python ints
         D = apsp(star(5))
         expected = solve_curvature_fraction(D)
+        dtypes = self.spy_dtypes(monkeypatch)
         monkeypatch.setattr(curvature, "LIFT_MAX_N", 4)
-        assert dixon_solve(D.entries, [5] * 5) is None
-        calls = self.spy_bareiss(monkeypatch)
         sol = solve_curvature(D)
-        assert calls == [5]
         assert (sol.status, sol.nullity, sol.w) == expected
         monkeypatch.setattr(curvature, "LIFT_MAX_N", 5)
-        assert dixon_solve(D.entries, [5] * 5) is not None
+        assert solve_curvature(D) == sol
+        assert dtypes == [object, np.int64]
 
-    def test_int64_guard(self):
-        # beyond the guard an int64 residual could overflow, so nothing is lifted
+    def test_int64_guard(self, monkeypatch):
+        # beyond the guard an int64 residual could overflow, so the lift runs on Python ints
+        dtypes = self.spy_dtypes(monkeypatch)
         A = np.array([[2**40]], dtype=np.int64)
-        assert dixon_solve(A, [1]) is None
-        assert dixon_solve(A // 2**10, [1]) == ([1], 2**30)
+        assert solve_exact(A, [1]) == ([0], [1], 2**40)
+        assert solve_exact(A // 2**10, [1]) == ([0], [1], 2**30)
+        # rank deficient: the free column of 2^41 joins the lift's right-hand side
+        assert solve_exact(np.array([[2**40, 2**41], [1, 2]], dtype=np.int64), [2**40, 1]) == (
+            [0], [1, 0], 1)
+        assert dtypes == [object, np.int64, object]
 
-    def test_bareiss_answer_is_checked(self, monkeypatch):
-        monkeypatch.setattr(curvature, "LIFT_MAX_N", 0)
-        monkeypatch.setattr(curvature, "bareiss_solve", lambda A, b: ([0, 1, 2], [3, 1, 3], 2))
-        with pytest.raises(HardVerificationError, match="D num = n den 1"):
-            solve_curvature(apsp(path(3)))
-
-    def test_singular_and_inconsistent_systems_use_bareiss(self, monkeypatch):
-        calls = self.spy_bareiss(monkeypatch)
+    def test_singular_and_inconsistent_systems_are_certified(self, monkeypatch):
+        dtypes = self.spy_dtypes(monkeypatch)
         for g, status in [(cycle(6), SolveStatus.UNDERDETERMINED), (grid(3, 4), SolveStatus.UNDERDETERMINED),
-                          (complete(1), SolveStatus.INCONSISTENT)]:
-            assert dixon_solve(apsp(g).entries, [g.n] * g.n) is None
+                          (complete(1), SolveStatus.INCONSISTENT), (cycle(7), SolveStatus.UNIQUE)]:
             assert solve_curvature(apsp(g)).status is status
-        assert calls == [6, 12, 1]
-        calls.clear()
-        solve_curvature(apsp(cycle(7)))
-        assert calls == []
+        assert len(dtypes) == 4  # one elimination each: LIFT_PRIME certified every rank profile

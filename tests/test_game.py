@@ -26,7 +26,8 @@ from graphcurv import (
     verify_minimax,
 )
 from graphcurv import curvature, game
-from oracles import basis_pair_two_inverses, game_value_float, simplex_bland_fraction
+from oracles import bareiss_solve, basis_pair_two_inverses, game_value_float, simplex_bland_fraction
+from test_curvature import small_primes_first
 
 
 class TestFixtures:
@@ -361,29 +362,32 @@ class TestForcedFallback:
         assert game._basis_pair(M, list(range(8))) is None
 
     @staticmethod
-    def bareiss_calls(monkeypatch, name, fake):
-        """Sizes of the Bareiss solves of cycle:39's basis with game.<name> faked."""
+    def cycle39_basis():
         M = apsp(cycle(39)).entries + 1
-        basis = game._simplex_basis(M, True)
+        return M, game._simplex_basis(M, True)
+
+    def test_basis_pair_moves_to_the_next_prime(self, monkeypatch):
+        # det of cycle:39's full-support basis is 419, so it is singular mod 419
+        M, basis = self.cycle39_basis()
         expected = game._basis_pair(M, basis)
-        calls = []
-        bareiss = game.bareiss_solve
+        assert bareiss_solve((M[:39, :39]).tolist(), [0] * 39)[2] == 419
+        primes = []
+        eliminate = curvature._eliminate_mod
 
-        def counted(A, b):
-            calls.append(len(A))
-            return bareiss(A, b)
+        def spy(A, p):
+            primes.append(p)
+            return eliminate(A, p)
 
-        monkeypatch.setattr(game, name, fake)
-        monkeypatch.setattr(game, "bareiss_solve", counted)
+        monkeypatch.setattr(curvature, "_eliminate_mod", spy)
+        small_primes_first(monkeypatch, (419,))
         assert game._basis_pair(M, basis) == expected
-        return calls
+        assert primes == [419, curvature.LIFT_PRIME]
 
-    def test_basis_pair_falls_back_to_bareiss(self, monkeypatch):
-        calls = self.bareiss_calls(monkeypatch, "dixon_inverse", lambda A, beta: None)
-        assert calls == [39, 39]  # B and B^T, the full-support basis of an odd cycle
-
-    def test_lift_cap_falls_back_to_bareiss(self, monkeypatch):
-        assert self.bareiss_calls(monkeypatch, "dixon_lift", lambda A, C, b: None) == [39, 39]
+    def test_basis_pair_lift_cap_raises(self, monkeypatch):
+        M, basis = self.cycle39_basis()
+        monkeypatch.setattr(curvature, "_reconstruct", lambda u, m: None)
+        with pytest.raises(HardVerificationError, match="cap"):
+            game._basis_pair(M, basis)
 
     def test_pivot_cap(self, monkeypatch):
         M = apsp(cycle(7)).entries + 1
@@ -457,7 +461,7 @@ class TestExactRun:
 
 
 class TestBasisPair:
-    """The basis and its transpose lifted on one inverse mod p."""
+    """The basis and its transpose lifted on one elimination mod p."""
 
     SPECS = ["gnp:20,1/4", "gnp:22,1/4", "gnp:24,1/4", "gnp:26,1/4", "hypercube:5", "cycle:39",
              "grid:5,8", "star:40", "path:40", "cycle:40", "complete:40", "cycle:201"]
@@ -477,14 +481,13 @@ class TestBasisPair:
         M = apsp(parse_generator_spec(spec, seed=1)).entries + 1
         basis = game._simplex_basis(M, True)
         calls = []
-        inverse = curvature._inverse_mod
+        eliminate = curvature._eliminate_mod
 
         def counted(A, p):
             calls.append(len(A))
-            return inverse(A, p)
+            return eliminate(A, p)
 
-        monkeypatch.setattr(curvature, "_inverse_mod", counted)
-        monkeypatch.setattr(game, "bareiss_solve", lambda A, b: pytest.fail("lifting gave up"))
+        monkeypatch.setattr(curvature, "_eliminate_mod", counted)
         assert game._basis_pair(M, basis) is not None
         assert calls == [size]
 

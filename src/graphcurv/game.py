@@ -13,17 +13,17 @@ it, so that strategy is a lower-bound witness (A > K) exactly when value > K
 
 The solve is exact at close to float cost, in the manner of QSopt_ex
 (Applegate, Cook, Dash and Espinoza 2007):
-  1. a float64 simplex with Dantzig's largest-reduced-cost rule, which
-     needs 5-10x fewer pivots than Bland's, yields its final basis when
-     that tableau looks nondegenerate;
+  1. a float64 simplex priced by steepest edge (Goldfarb and Reid 1977),
+     which needs 10-60x fewer pivots than Bland's rule on gnp games, yields
+     its final basis when that tableau looks nondegenerate;
   2. the basis is solved exactly (graphcurv.curvature.solve_exact) and its
      transpose lifted on the same inverse mod p, one elimination for both,
      and the pair must pass the optimality certificates below and an exact
      uniqueness check (`_unique_optimum`): a unique optimum is the one
      Bland's rule reaches too, so the answer does not depend on the rule;
-  3. otherwise the same loop, Bland's rule, runs in float64 and its final
-     basis is solved and certified the same way, without the uniqueness
-     check;
+  3. otherwise the same loop on the same condensed tableau, Bland's rule,
+     runs in float64 and its final basis is solved and certified the same
+     way, without the uniqueness check;
   4. if that fails too (pivot cap, singular basis, rejected certificate),
      the same loop, Bland's rule, runs on Fractions: slow, but it always
      terminates, and its basis is solved and certified like the others.
@@ -55,7 +55,7 @@ from .metric import DistanceMatrix
 from .verifier import transport_vector
 
 FLOAT_TOL = 1e-9  # float tableau entries this close to zero count as zero
-FLOAT_PIVOT_CAP = 20_000  # gnp:160,1/16 seed 1: 5,581 Bland pivots, 1,414 Dantzig
+FLOAT_PIVOT_CAP = 20_000  # gnp:160,1/16 seed 1: 5,581 Bland pivots, 94 steepest edge
 
 
 @dataclass(frozen=True)
@@ -80,20 +80,20 @@ def game_value(D: DistanceMatrix) -> GameSolution:
         raise ValueError("game needs at least one vertex")
     M = D.entries + 1  # shifted payoffs, all >= 1
 
-    # float Dantzig, float Bland, exact Bland: a failed float run hands over
-    # to the next one, and the exact run's failure is the solver's
-    for dantzig, exact in ((True, False), (False, False), (False, True)):
+    # float steepest edge, float Bland, exact Bland: a failed float run hands
+    # over to the next one, and the exact run's failure is the solver's
+    for steepest, exact in ((True, False), (False, False), (False, True)):
         payoffs = np.array([[Fraction(x) for x in row] for row in M.tolist()]) if exact else M
         try:
-            basis = _simplex_basis(payoffs, dantzig)
+            basis = _simplex_basis(payoffs, steepest)
             if basis is None:  # or a float run's pivot cap
                 raise HardVerificationError(
                     "unbounded LP in game reduction; payoff shift is broken")
             pair = _basis_pair(M, basis)
             if pair is None:
                 raise HardVerificationError("simplex ended on a singular basis")
-            # a Dantzig basis stands in for Bland's only when its optimum is unique
-            return _certified(D, *pair, basis if dantzig else None)
+            # a steepest-edge basis stands in for Bland's only when its optimum is unique
+            return _certified(D, *pair, basis if steepest else None)
         except HardVerificationError:
             if exact:
                 raise
@@ -217,14 +217,24 @@ def search_lower_violation(
     return game.maximin_strategy
 
 
-def _simplex_basis(M: np.ndarray, dantzig: bool) -> list[int] | None:
+def _simplex_basis(M: np.ndarray, steepest: bool) -> list[int] | None:
     """Final basis of the primal simplex on: max sum(y) s.t. M y <= 1, y >= 0.
 
     M > 0 entrywise, so the slack basis is feasible and the feasible set
-    bounded.  The tableau has n rows over the columns [y | slacks | b].  The
-    entering column is the one with the largest reduced cost (Dantzig) or
-    the lowest index with a positive one (Bland); the leaving row has the
-    least ratio, ties going to the lowest basis index.
+    bounded.  The variables are y_0..y_{n-1} and the slacks n..2n-1.  The
+    tableau is condensed (Tucker's form): n rows over the nonbasic columns
+    and the right-hand side b, and a reduced-cost row below them.  When x_e
+    enters and x_l leaves, column e becomes x_l's column, so a pivot is one
+    rank-1 update of the (n + 1) x (n + 1) array.
+
+    Bland's run enters the lowest-indexed variable with a positive reduced
+    cost and breaks ties in the ratio test by the lowest basis index.  The
+    steepest-edge run (Goldfarb and Reid 1977) enters the largest
+    c_j^2 / (1 + |T[:n, j]|^2) among positive reduced costs c_j, the exact
+    edge norms read off the tableau, and breaks ratio ties by the largest
+    pivot entry; with index ties it stalls on dense games.  It needs far
+    fewer pivots than Dantzig's largest-reduced-cost rule: 41 against 453 on
+    gnp:120,1/12 (seed 1943460723).
 
     M's dtype sets the arithmetic.  A numeric M runs in float64: reduced
     costs and pivot column entries within FLOAT_TOL of zero count as zero,
@@ -232,7 +242,7 @@ def _simplex_basis(M: np.ndarray, dantzig: bool) -> list[int] | None:
     run gives up with None after FLOAT_PIVOT_CAP pivots.  An object array of
     Fractions runs exactly, with tolerance 0 and no cap: Bland's rule
     terminates (Bland 1977).  Either run returns None when no row can leave.
-    A Dantzig run also returns None unless its final tableau looks
+    A steepest-edge run also returns None unless its final tableau looks
     nondegenerate (`_nondegenerate`), as a unique optimum needs.  Nothing
     here is trusted: the caller solves the basis exactly and certifies it.
     """
@@ -241,44 +251,48 @@ def _simplex_basis(M: np.ndarray, dantzig: bool) -> list[int] | None:
     tol = 0 if exact else FLOAT_TOL
     # int 0 and 1 beside M's Fractions: the first pivot divides by a Fraction,
     # after which every exact entry is one, so no int / int makes a float
-    T = np.zeros((n, 2 * n + 1), dtype=object if exact else np.float64)
-    T[:, :n] = M
-    T[:, n:2 * n] = np.eye(n, dtype=np.int64)
-    T[:, 2 * n] = 1
-    cost = np.zeros(2 * n + 1, dtype=T.dtype)
-    cost[:n] = 1
-    basis = np.arange(n, 2 * n)
+    T = np.ones((n + 1, n + 1), dtype=object if exact else np.float64)
+    T[:n, :n] = M
+    T[n, n] = 0  # minus the objective, which no rule reads
+    constraints, b, cost = T[:n], T[:n, n], T[n, :n]
+    nonbasic = np.arange(n)  # the variable in each column
+    basis = np.arange(n, 2 * n)  # the variable in each row
     for _ in itertools.count() if exact else range(FLOAT_PIVOT_CAP):
-        if dantzig:
-            enter = int(np.argmax(cost[:2 * n]))
-            if cost[enter] <= tol:
-                return basis.tolist() if _nondegenerate(T[:, 2 * n], cost, basis) else None
+        if steepest:
+            gain = cost * (cost > tol)
+            edges = np.einsum("ij,ij->j", constraints, constraints)[:n]  # contiguous, b included
+            edges += 1
+            enter = (gain * gain / edges).argmax()
+            if gain[enter] == 0:
+                return basis.tolist() if _nondegenerate(b, cost) else None
         else:
-            entering = np.flatnonzero(cost[:2 * n] > tol)
+            entering = (cost > tol).nonzero()[0]
             if entering.size == 0:
                 return basis.tolist()
-            enter = entering[0]
-        rows = np.flatnonzero(T[:, enter] > tol)
+            enter = entering[nonbasic[entering].argmin()]
+        column = T[:n, enter]
+        rows = (column > tol).nonzero()[0]
         if rows.size == 0:
             return None
-        ratios = T[rows, 2 * n] / T[rows, enter]
+        ratios = b[rows] / column[rows]
         best = ratios.min()
         tied = rows[ratios <= best + tol * max(1, best)]
-        leave = tied[np.argmin(basis[tied])]
-        T[leave] /= T[leave, enter]
+        leave = tied[column[tied].argmax()] if steepest else tied[basis[tied].argmin()]
+        pivot = T[leave, enter]
+        row = T[leave] / pivot
+        row[enter] = 1 / pivot  # x_l's unit column, divided by the pivot
         f = T[:, enter].copy()
         f[leave] = 0
-        T -= np.outer(f, T[leave])
-        cost -= cost[enter] * T[leave]
-        basis[leave] = enter
+        T[:, enter] = 0
+        T[leave] = row
+        T -= f[:, None] * row
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
     return None
 
 
-def _nondegenerate(b: np.ndarray, cost: np.ndarray, basis: np.ndarray) -> bool:
+def _nondegenerate(b: np.ndarray, cost: np.ndarray) -> bool:
     """Float screen of an optimal tableau: basic values b and reduced costs clear of zero."""
-    nonbasic = np.ones(len(cost) - 1, dtype=bool)
-    nonbasic[basis] = False
-    return bool((b > FLOAT_TOL).all() and (cost[:-1][nonbasic] < -FLOAT_TOL).all())
+    return bool((b > FLOAT_TOL).all() and (cost < -FLOAT_TOL).all())
 
 
 def _basis_pair(

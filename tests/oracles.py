@@ -12,7 +12,7 @@ library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
 with one elimination mod p per system, the inverse mod p that gave up on a
 column without a pivot, the exact Bland simplex on its own
-list-of-Fractions tableau, the battery as a list of `Measure`s with int64
+list-of-Fractions tableau, the full-width simplex tableau, the battery as a list of `Measure`s with int64
 block products, JSON through the stdlib's indent=2 encoder), the replaced
 code is kept here verbatim and must give identical results.
 """
@@ -49,6 +49,7 @@ from graphcurv import (
     validate,
 )
 from graphcurv.curvature import FLOAT_PIVOT_FLOOR, solve_exact
+from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
@@ -605,3 +606,57 @@ def simplex_bland_fraction(M: list[list[Fraction]]) -> tuple[list[Fraction], lis
             y[bi] = T[i][2 * n]
     duals = [-cost[n + i] for i in range(n)]
     return y, duals
+
+
+def simplex_basis_full(M: np.ndarray, dantzig: bool) -> list[int] | None:
+    """Final basis of the primal simplex on: max sum(y) s.t. M y <= 1, y >= 0.
+
+    This was `graphcurv.game._simplex_basis` before the condensed tableau:
+    the full n x (2n + 1) tableau [M | I | 1], with Dantzig's
+    largest-reduced-cost rule as the candidate run and ties in the ratio
+    test going to the lowest basis index in both runs.  Bland's run here and
+    the library's take the same pivots with the same float operations.
+    """
+    n = len(M)
+    exact = M.dtype == object
+    tol = 0 if exact else FLOAT_TOL
+    # int 0 and 1 beside M's Fractions: the first pivot divides by a Fraction,
+    # after which every exact entry is one, so no int / int makes a float
+    T = np.zeros((n, 2 * n + 1), dtype=object if exact else np.float64)
+    T[:, :n] = M
+    T[:, n:2 * n] = np.eye(n, dtype=np.int64)
+    T[:, 2 * n] = 1
+    cost = np.zeros(2 * n + 1, dtype=T.dtype)
+    cost[:n] = 1
+    basis = np.arange(n, 2 * n)
+    for _ in itertools.count() if exact else range(FLOAT_PIVOT_CAP):
+        if dantzig:
+            enter = int(np.argmax(cost[:2 * n]))
+            if cost[enter] <= tol:
+                return basis.tolist() if _nondegenerate_full(T[:, 2 * n], cost, basis) else None
+        else:
+            entering = np.flatnonzero(cost[:2 * n] > tol)
+            if entering.size == 0:
+                return basis.tolist()
+            enter = entering[0]
+        rows = np.flatnonzero(T[:, enter] > tol)
+        if rows.size == 0:
+            return None
+        ratios = T[rows, 2 * n] / T[rows, enter]
+        best = ratios.min()
+        tied = rows[ratios <= best + tol * max(1, best)]
+        leave = tied[np.argmin(basis[tied])]
+        T[leave] /= T[leave, enter]
+        f = T[:, enter].copy()
+        f[leave] = 0
+        T -= np.outer(f, T[leave])
+        cost -= cost[enter] * T[leave]
+        basis[leave] = enter
+    return None
+
+
+def _nondegenerate_full(b: np.ndarray, cost: np.ndarray, basis: np.ndarray) -> bool:
+    """Float screen of an optimal full tableau: basic values b and reduced costs clear of zero."""
+    nonbasic = np.ones(len(cost) - 1, dtype=bool)
+    nonbasic[basis] = False
+    return bool((b > FLOAT_TOL).all() and (cost[:-1][nonbasic] < -FLOAT_TOL).all())

@@ -372,6 +372,13 @@ GOLDEN_CASES = [
     # the benchmark's underdetermined instances, written before the modular
     # rank-profile solve replaced fraction-free elimination
     ("curvature", spec, 0) for spec in ("hypercube:5", "grid:5,8", "cycle:40", "grid:8,10")
+] + [
+    # games written before the candidate run priced by steepest edge: full support
+    # (cycle:39, complete:40), degenerate and answered by Bland's run (path:40), and
+    # the benchmark's verify-mid draws
+    ("game", spec, seed) for spec, seed in [("cycle:39", 0), ("complete:40", 0), ("path:40", 0),
+                                            ("gnp:60,1/6", 1669037940),
+                                            ("gnp:120,1/12", 1943460723)]
 ]
 
 

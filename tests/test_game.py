@@ -26,7 +26,9 @@ from graphcurv import (
     verify_minimax,
 )
 from graphcurv import curvature, game
-from oracles import bareiss_solve, basis_pair_two_inverses, game_value_float, simplex_bland_fraction
+import oracles
+from oracles import (bareiss_solve, basis_pair_two_inverses, game_value_float,
+                     simplex_basis_full, simplex_bland_fraction)
 from test_curvature import small_primes_first
 
 
@@ -167,35 +169,35 @@ def exact_only(D, monkeypatch):
     simplex = game._simplex_basis
     with monkeypatch.context() as m:
         m.setattr(game, "_simplex_basis",
-                  lambda M, dantzig: simplex(M, dantzig) if is_exact(M) else None)
+                  lambda M, steepest: simplex(M, steepest) if is_exact(M) else None)
         return game_value(D)
 
 
 def bland_float_only(D, monkeypatch):
-    """game_value with the Dantzig run switched off: the float Bland basis, certified."""
+    """game_value with the steepest-edge run switched off: the float Bland basis, certified."""
     simplex = game._simplex_basis
     with monkeypatch.context() as m:
-        m.setattr(game, "_simplex_basis", lambda M, dantzig: None if dantzig else simplex(M, False))
+        m.setattr(game, "_simplex_basis", lambda M, steepest: None if steepest else simplex(M, False))
         return game_value(D)
 
 
 def spy_runs(monkeypatch):
-    """Record (dantzig, basis found) for every float run game_value makes."""
+    """Record (steepest, basis found) for every float run game_value makes."""
     runs = []
     simplex = game._simplex_basis
 
-    def spy(M, dantzig):
-        basis = simplex(M, dantzig)
+    def spy(M, steepest):
+        basis = simplex(M, steepest)
         if not is_exact(M):
-            runs.append((dantzig, basis is not None))
+            runs.append((steepest, basis is not None))
         return basis
 
     monkeypatch.setattr(game, "_simplex_basis", spy)
     return runs
 
 
-def raw_dantzig_basis(M, monkeypatch):
-    """The Dantzig run's final basis with its nondegeneracy screen switched off."""
+def raw_candidate_basis(M, monkeypatch):
+    """The steepest-edge run's final basis with its nondegeneracy screen switched off."""
     with monkeypatch.context() as m:
         m.setattr(game, "_nondegenerate", lambda *args: True)
         return game._simplex_basis(M, True)
@@ -207,6 +209,10 @@ def tight_sets(D, sol):
     high = transport_vector(D, sol.minimax_strategy).dp
     return ({j for j, x in enumerate(low) if x == sol.value},
             {i for i, x in enumerate(high) if x == sol.value})
+
+
+# gnp(n, 1/(n // 10), seed) draws of 40-160 vertices
+AT_SCALE = [(40 + seed * 120 // 49, seed) for seed in range(50)]
 
 
 class TestCertifiedBasisAgainstBland:
@@ -229,9 +235,9 @@ class TestCertifiedBasisAgainstBland:
 
 
 class TestUniqueOptimum:
-    """A Dantzig basis is kept only when its optimum is certified unique."""
+    """A steepest-edge basis is kept only when its optimum is certified unique."""
 
-    # the raw Dantzig basis is optimal here, but its strategies are not Bland's
+    # the raw steepest-edge basis is optimal here, but its strategies are not Bland's
     DEGENERATE = ["path:60", "grid:8,10", "grid:5,8", "hypercube:6"]
 
     @pytest.mark.parametrize("spec", DEGENERATE)
@@ -239,7 +245,7 @@ class TestUniqueOptimum:
         D = apsp(parse_generator_spec(spec, seed=0))
         M = D.entries + 1
         expected = bland_only(D)
-        raw = raw_dantzig_basis(M, monkeypatch)
+        raw = raw_candidate_basis(M, monkeypatch)
         pair = game._basis_pair(M, raw)
         assert game._certified(D, *pair) != expected  # optimal, yet a different answer
         with pytest.raises(HardVerificationError, match="not unique"):
@@ -252,15 +258,15 @@ class TestUniqueOptimum:
         assert game._simplex_basis(M, True) is None
         assert game._simplex_basis(M, False) is not None
 
-    # the raw Dantzig basis has tight sets equal to its basis sets; only zero
-    # basic entries, in Q, in P or in both, show that its optimum is not unique
+    # the raw steepest-edge basis has tight sets equal to its basis sets; only
+    # zero basic entries, in Q, in P or in both, show that its optimum is not unique
     @pytest.mark.parametrize("n,seed,short", [(6, 405, ("minimax",)), (14, 1167, ("maximin",)),
-                                              (4, 39, ("minimax", "maximin"))],
+                                              (6, 1068, ("minimax", "maximin"))],
                              ids=["Q", "P", "both"])
     def test_support_smaller_than_basis_is_rejected(self, n, seed, short, monkeypatch):
         D = apsp(gnp(n, Fraction(1, 2), seed)[0])
         M = D.entries + 1
-        raw = raw_dantzig_basis(M, monkeypatch)
+        raw = raw_candidate_basis(M, monkeypatch)
         pair = game._basis_pair(M, raw)
         sol = game._certified(D, *pair)
         cols = {j for j in raw if j < n}
@@ -294,8 +300,7 @@ class TestUniqueOptimum:
 
     def test_gnp_at_scale(self, monkeypatch):
         accepted = 0
-        for seed in range(50):
-            n = 40 + seed * 120 // 49
+        for n, seed in AT_SCALE:
             D = apsp(gnp(n, Fraction(1, n // 10), seed)[0])
             with monkeypatch.context() as m:
                 runs = spy_runs(m)
@@ -317,14 +322,14 @@ class TestUniqueOptimum:
         simplex = game._simplex_basis
         runs = []
 
-        def capped(M, dantzig):
+        def capped(M, steepest):
             if is_exact(M):
                 pytest.fail("exact simplex ran")
             with monkeypatch.context() as m:
-                if dantzig:
+                if steepest:
                     m.setattr(game, "FLOAT_PIVOT_CAP", 1)
-                basis = simplex(M, dantzig)
-            runs.append((dantzig, basis is not None))
+                basis = simplex(M, steepest)
+            runs.append((steepest, basis is not None))
             return basis
 
         monkeypatch.setattr(game, "_simplex_basis", capped)
@@ -347,11 +352,11 @@ class TestForcedFallback:
         calls = []
         simplex = game._simplex_basis
 
-        def counted(M, dantzig):
+        def counted(M, steepest):
             if not is_exact(M):
                 return basis(len(M))
             calls.append(len(M))
-            return simplex(M, dantzig)
+            return simplex(M, steepest)
 
         monkeypatch.setattr(game, "_simplex_basis", counted)
         assert game_value(D) == expected
@@ -391,11 +396,11 @@ class TestForcedFallback:
 
     def test_pivot_cap(self, monkeypatch):
         M = apsp(cycle(7)).entries + 1
-        for dantzig in (True, False):
-            assert game._simplex_basis(M, dantzig) is not None
+        for steepest in (True, False):
+            assert game._simplex_basis(M, steepest) is not None
         monkeypatch.setattr(game, "FLOAT_PIVOT_CAP", 1)
-        for dantzig in (True, False):
-            assert game._simplex_basis(M, dantzig) is None
+        for steepest in (True, False):
+            assert game._simplex_basis(M, steepest) is None
 
 
 class TestExactRun:
@@ -431,8 +436,8 @@ class TestExactRun:
         simplex = game._simplex_basis
         runs = []
 
-        def spy(M, dantzig):
-            basis = simplex(M, dantzig)
+        def spy(M, steepest):
+            basis = simplex(M, steepest)
             runs.append((is_exact(M), basis is not None))
             return basis
 
@@ -450,7 +455,7 @@ class TestExactRun:
         D = apsp(hypercube(3))
         calls = []
 
-        def fake(M, dantzig):
+        def fake(M, steepest):
             calls.append(is_exact(M))
             return basis(len(M)) if is_exact(M) else None
 
@@ -458,6 +463,65 @@ class TestExactRun:
         with pytest.raises(HardVerificationError, match=message):
             game_value(D)
         assert calls == [False, False, True]
+
+
+class TestCondensedTableau:
+    """The simplex loop on the condensed tableau against the full-width loop it replaced."""
+
+    VERIFY_MID_FAMILIES = ["path:60", "star:60", "grid:8,10"]
+    # the families do not depend on the seed; the benchmark's gnp draws at seeds 1-3
+    SPECS = ([(spec, 1) for spec in TestCertifiedBasisAgainstBland.REPORT_SMALL_FAMILIES
+              + VERIFY_MID_FAMILIES]
+             + [(f"gnp:{n},1/4", seed) for n in (20, 22, 24, 26) for seed in (1, 2, 3)]
+             + [(spec, seed) for spec in ("gnp:60,1/6", "gnp:120,1/12") for seed in (1, 2, 3)])
+    # Bland's run on Fractions takes 5 s on grid:8,10 and longer on the gnp draws
+    EXACT_TOO_SLOW = {"grid:8,10", "gnp:60,1/6", "gnp:120,1/12"}
+
+    @pytest.mark.parametrize("spec,seed", SPECS)
+    def test_bland_runs_match_full_tableau(self, spec, seed):
+        M = apsp(parse_generator_spec(spec, seed=seed)).entries + 1
+        assert game._simplex_basis(M, False) == simplex_basis_full(M, False)
+        if spec not in self.EXACT_TOO_SLOW:
+            F = np.array(fraction_rows(M))
+            assert game._simplex_basis(F, False) == simplex_basis_full(F, False)
+
+    def test_gnp_seeds(self):
+        for seed in range(100):
+            M = apsp(gnp(4 + seed % 13, Fraction(1, 2 + seed % 3), seed)[0]).entries + 1
+            for payoffs in (M, np.array(fraction_rows(M))):
+                assert game._simplex_basis(payoffs, False) == simplex_basis_full(payoffs, False), seed
+
+    def test_candidate_matches_certified_dantzig_basis(self):
+        # wherever Dantzig's basis on the full tableau is certified unique, steepest
+        # edge ends on the same basis
+        accepted = 0
+        for n, seed in AT_SCALE:
+            D = apsp(gnp(n, Fraction(1, n // 10), seed)[0])
+            M = D.entries + 1
+            basis = simplex_basis_full(M, True)
+            pair = None if basis is None else game._basis_pair(M, basis)
+            if pair is None:
+                continue
+            try:
+                game._certified(D, *pair, basis)
+            except HardVerificationError:
+                continue
+            accepted += 1
+            assert sorted(game._simplex_basis(M, True)) == sorted(basis), (n, seed)
+        assert accepted >= 40  # 43 of the 50
+
+    # Dantzig's rule on the full tableau takes 453, 93, 773 and 244 pivots here,
+    # steepest edge 41, 40, 328 and 127
+    @pytest.mark.parametrize("spec,seed,cap", [("gnp:120,1/12", 1943460723, 60),
+                                               ("gnp:60,1/6", 1669037940, 60),
+                                               ("gnp:200,1/8", 2, 400),
+                                               ("gnp:100,1/5", 44, 200)])
+    def test_candidate_within_pivot_budget(self, spec, seed, cap, monkeypatch):
+        M = apsp(parse_generator_spec(spec, seed=seed)).entries + 1
+        monkeypatch.setattr(game, "FLOAT_PIVOT_CAP", cap)
+        monkeypatch.setattr(oracles, "FLOAT_PIVOT_CAP", cap)
+        assert simplex_basis_full(M, True) is None
+        assert game._simplex_basis(M, True) is not None
 
 
 class TestBasisPair:
@@ -469,7 +533,7 @@ class TestBasisPair:
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_two_inverses(self, spec):
         M = apsp(parse_generator_spec(spec, seed=1)).entries + 1
-        bases = [game._simplex_basis(M, dantzig) for dantzig in (True, False)]
+        bases = [game._simplex_basis(M, steepest) for steepest in (True, False)]
         bases = [b for b in bases if b is not None]
         assert bases
         for basis in bases:

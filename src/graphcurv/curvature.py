@@ -282,28 +282,23 @@ def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
     rank = len(piv_cols)
     if num is None:
         return CurvatureSolution(status=SolveStatus.INCONSISTENT, n=n, nullity=n - rank)
-    w = [Fraction(x, den) for x in num]
-
-    l1 = sum((abs(x) for x in w), Fraction(0))
-    min_entry = min(w)
-    nonneg = min_entry >= 0
+    # l1 > 0: solve_exact certified D num = n den 1 with n >= 1, so num != 0
+    l1 = Fraction(sum(map(abs, num)), den)
     warnings: list[str] = []
     if rank < n:
         warnings.append(
             f"system is underdetermined (nullity {n - rank}); w is the particular "
             "solution with free variables zeroed, so K is not canonical"
         )
-    if l1 == 0:
-        warnings.append("w = 0, so the l1 norm vanishes and K is undefined")
     return CurvatureSolution(
         status=SolveStatus.UNIQUE if rank == n else SolveStatus.UNDERDETERMINED,
         n=n,
         nullity=n - rank,
-        w=tuple(w),
+        w=tuple(Fraction(x, den) for x in num),
         l1_norm=l1,
-        bound_K=Fraction(n) / l1 if l1 != 0 else None,
-        min_entry=min_entry,
-        nonneg=nonneg,
+        bound_K=n / l1,
+        min_entry=Fraction(min(num), den),
+        nonneg=min(num) >= 0,
         warnings=tuple(warnings),
     )
 

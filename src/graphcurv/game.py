@@ -16,11 +16,12 @@ The solve is exact at close to float cost, in the manner of QSopt_ex
   1. a float64 simplex priced by steepest edge (Goldfarb and Reid 1977),
      which needs 10-60x fewer pivots than Bland's rule on gnp games, yields
      its final basis when that tableau looks nondegenerate;
-  2. the basis is solved exactly (graphcurv.curvature.solve_exact) and its
-     transpose lifted on the same inverse mod p, one elimination for both,
-     and the pair must pass the optimality certificates below and an exact
-     uniqueness check (`_unique_optimum`): a unique optimum is the one
-     Bland's rule reaches too, so the answer does not depend on the rule;
+  2. the basis is solved exactly (graphcurv.curvature._certified_solve,
+     the kernel of solve_exact) and its transpose lifted on the same
+     inverse mod p, one elimination for both, and the pair must pass the
+     optimality certificates below and an exact uniqueness check
+     (`_unique_optimum`): a unique optimum is the one Bland's rule reaches
+     too, so the answer does not depend on the rule;
   3. otherwise the same loop on the same condensed tableau, Bland's rule,
      runs in float64 and its final basis is solved and certified the same
      way, without the uniqueness check;
@@ -30,7 +31,10 @@ The solve is exact at close to float cost, in the manner of QSopt_ex
 Either way, both certificates are re-verified before a solution is
 returned:
     min_u (D . maximin)_u  =  value  =  max_u (D^T . minimax)_u
-exactly, or the solver refuses.
+exactly, or the solver refuses.  The pair stays integer numerators over a
+denominator from the lift to the strategies, and both certificates come
+from one product of D with the two strategies' numerators, through the
+verifier's battery kernel.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .curvature import (
 from .errors import HardVerificationError
 from .measures import Measure
 from .metric import DistanceMatrix
-from .verifier import transport_vector
+from .verifier import _as_battery, _exact_ints, _transport_block
 
 FLOAT_TOL = 1e-9  # float tableau entries this close to zero count as zero
 FLOAT_PIVOT_CAP = 20_000  # gnp:160,1/16 seed 1: 5,581 Bland pivots, 94 steepest edge
@@ -99,68 +103,60 @@ def game_value(D: DistanceMatrix) -> GameSolution:
                 raise
 
 
-def _certified(
-    D: DistanceMatrix,
-    y: list[Fraction],
-    duals: list[Fraction],
-    basis: list[int] | None = None,
-) -> GameSolution:
-    """The game solution read off a primal/dual pair of the shifted LP.
+def _certified(D: DistanceMatrix, primal: tuple[list[int], int], dual: tuple[list[int], int],
+               basis: list[int] | None = None) -> GameSolution:
+    """The game solution read off a pair (y, den), (pi, pi_den) of `_basis_pair`.
 
-    Raises HardVerificationError unless the pair closes and both
-    certificates hold exactly: min_u (D P)_u = value = max_u (D^T Q)_u.
+    Raises HardVerificationError unless the pair closes (sum(y) / den =
+    sum(pi) / pi_den > 0, by cross-multiplication), has no negative entry,
+    and both certificates hold exactly: min_u (D P)_u = value =
+    max_u (D^T Q)_u, both columns from one `_transport_block` product.
     When the pair's `basis` is given, it also raises unless the optimum is
     unique (`_unique_optimum`).
     """
+    (y, den), (pi, pi_den) = primal, dual
     total = sum(y)
-    if total <= 0 or sum(duals) != total:
+    if total <= 0 or sum(pi) * den != total * pi_den:
         raise HardVerificationError("simplex returned a non-closing primal/dual pair")
-    if min(y) < 0 or min(duals) < 0:
+    if min(y) < 0 or min(pi) < 0:
         raise HardVerificationError("simplex returned a primal/dual pair with a negative entry")
-    shifted_value = Fraction(1) / total
-    # duals solve min sum x, M^T x >= 1: the column player's (maximin) side
-    maximin = Measure(x * shifted_value for x in duals)
-    minimax = Measure(x * shifted_value for x in y)
-    value = shifted_value - 1
+    # pi solves min sum x, M^T x >= 1: the column player's (maximin) side
+    maximin, minimax = Measure.from_weights(pi), Measure.from_weights(y)
+    value = Fraction(den, total) - 1
 
-    low = transport_vector(D, maximin)
-    high = transport_vector(D, minimax)  # D is symmetric, so D^T Q = D Q
-    if low.A != value or high.B != value:
-        raise HardVerificationError(
-            f"game certificates do not close: min(D P) = {low.A}, value = {value}, "
-            f"max(D^T Q) = {high.B}"
-        )
+    battery = _as_battery(D, [maximin, minimax])
+    N = _exact_ints(_transport_block(D, battery.num, battery.den))
+    low, high = N[:, 0], N[:, 1]  # numerators of D P and D Q (= D^T Q) over P.den and Q.den
+    A, B = Fraction(int(low.min()), maximin.den), Fraction(int(high.max()), minimax.den)
+    if A != value or B != value:
+        raise HardVerificationError(f"game certificates do not close: min(D P) = {A}, "
+                                    f"value = {value}, max(D^T Q) = {B}")
     sol = GameSolution(value=value, maximin_strategy=maximin, minimax_strategy=minimax)
-    if basis is not None and not _unique_optimum(basis, sol, low.dp, high.dp):
+    if basis is not None and not _unique_optimum(basis, sol, low, high):
         raise HardVerificationError("the basis is optimal but its optimum is not unique")
     return sol
 
 
-def _unique_optimum(
-    basis: list[int],
-    sol: GameSolution,
-    low: tuple[Fraction, ...],
-    high: tuple[Fraction, ...],
-) -> bool:
+def _unique_optimum(basis: list[int], sol: GameSolution, low: np.ndarray, high: np.ndarray) -> bool:
     """Whether the certified solution of `basis` is the game's only optimal pair.
 
-    `low` = D P and `high` = D Q for P = maximin, Q = minimax.  Let Y be the
-    basic y columns and R the rows without a basic slack; M[R, Y] is square
-    and nonsingular.  If supp(Q) = Y = {j : (D P)_j = value} and
-    supp(P) = R = {i : (D Q)_i = value}, complementary slackness against P
-    confines every optimal Q' to Y with (D Q')_R = value, so
-    M[R, Y] Q'_Y = (value + 1) 1; against Q, every optimal P' lives on R
-    with M[R, Y]^T P'_R = (value + 1) 1.  So both strategies are unique
-    (Mangasarian 1979), and every optimal basis, Bland's included, gives
-    this solution.
+    `low` and `high` are the numerators of D P and D Q over P.den and Q.den,
+    for P = maximin, Q = minimax; the certificates showed that their min and
+    max are the value.  Let Y be the basic y columns and R the rows without
+    a basic slack; M[R, Y] is square and nonsingular.  If
+    supp(Q) = Y = {j : (D P)_j = value} and supp(P) = R = {i : (D Q)_i = value},
+    complementary slackness against P confines every optimal Q' to Y with
+    (D Q')_R = value, so M[R, Y] Q'_Y = (value + 1) 1; against Q, every
+    optimal P' lives on R with M[R, Y]^T P'_R = (value + 1) 1.  So both
+    strategies are unique (Mangasarian 1979), and every optimal basis,
+    Bland's included, gives this solution.
     """
     n = len(low)
     cols = {j for j in basis if j < n}
     rows = set(range(n)) - {j - n for j in basis if j >= n}
-    value = sol.value
-    return (set(sol.minimax_strategy.support()) == cols == {j for j, x in enumerate(low) if x == value}
+    return (set(sol.minimax_strategy.support()) == cols == set(np.flatnonzero(low == low.min()))
             and set(sol.maximin_strategy.support()) == rows
-            == {i for i, x in enumerate(high) if x == value})
+            == set(np.flatnonzero(high == high.max())))
 
 
 def game_vs_curvature(
@@ -297,16 +293,17 @@ def _nondegenerate(b: np.ndarray, cost: np.ndarray) -> bool:
 
 def _basis_pair(
     M: np.ndarray, basis: list[int]
-) -> tuple[list[Fraction], list[Fraction]] | None:
-    """Exact primal y and duals of a basis of `_simplex_basis`'s tableau.
+) -> tuple[tuple[list[int], int], tuple[list[int], int]] | None:
+    """Exact primal y and duals pi of a basis of `_simplex_basis`'s tableau.
 
     They solve B z = 1 and B^T pi = c_B.  A basic slack s has z on its own
     row and pi_s = 0, so both reduce to the square system on the basic y
     columns Y and the rows R without a basic slack: M[R, Y] y_Y = 1 and
-    M[R, Y]^T pi_R = 1.  The first is solved exactly (`solve_exact`), and
-    the second is lifted on the transpose of the inverse mod p that solve
-    certified, so one elimination serves both.  Returns None when the
-    system is singular.
+    M[R, Y]^T pi_R = 1.  The first is solved exactly (`_certified_solve`),
+    and the second is lifted on the transpose of the inverse mod p that
+    solve certified, so one elimination serves both.  Returns (y, den),
+    (pi, pi_den): length-n Python-int numerators, zero off the basis, each
+    over its denominator; or None when the system is singular.
     """
     n = len(M)
     cols = [j for j in basis if j < n]
@@ -317,10 +314,9 @@ def _basis_pair(
     if len(pivots) < len(B):
         return None
     (pi, pi_den), = dixon_lift(A.T, np.ascontiguousarray(C.T), np.ones((len(B), 1), A.dtype), p)
-    y = [Fraction(0)] * n
+    y, duals = [0] * n, [0] * n
     for j, zj in zip(cols, z):
-        y[j] = Fraction(zj, den)
-    duals = [Fraction(0)] * n
+        y[j] = zj
     for i, pj in zip(rows, pi):
-        duals[i] = Fraction(pj, pi_den)
-    return y, duals
+        duals[i] = pj
+    return (y, den), (duals, pi_den)

@@ -13,7 +13,8 @@ library's arithmetic and changed only its memory use or its sharing of work
 with one elimination mod p per system, the inverse mod p that gave up on a
 column without a pivot, the exact Bland simplex on its own
 list-of-Fractions tableau, the full-width simplex tableau, the battery as a list of `Measure`s with int64
-block products, JSON through the stdlib's indent=2 encoder), the replaced
+block products, JSON through the stdlib's indent=2 encoder, the game's basis
+pair as Fractions with one transport vector per certificate), the replaced
 code is kept here verbatim and must give identical results.
 """
 
@@ -48,8 +49,8 @@ from graphcurv import (
     transport_vector,
     validate,
 )
-from graphcurv.curvature import FLOAT_PIVOT_FLOOR, solve_exact
-from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL
+from graphcurv.curvature import FLOAT_PIVOT_FLOOR, _certified_solve, dixon_lift, solve_exact
+from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL, GameSolution
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
@@ -554,6 +555,84 @@ def basis_pair_two_inverses(
     for i, pj in zip(rows, pi):
         duals[i] = Fraction(pj, pi_den)
     return y, duals
+
+
+def basis_pair_fraction(
+    M: np.ndarray, basis: list[int]
+) -> tuple[list[Fraction], list[Fraction]] | None:
+    """`graphcurv.game._basis_pair` with y and the duals as length-n lists of Fractions.
+
+    This was the library's basis solve before the pair stayed integer
+    numerators over one denominator each.
+    """
+    n = len(M)
+    cols = [j for j in basis if j < n]
+    slack_rows = {j - n for j in basis if j >= n}
+    rows = [i for i in range(n) if i not in slack_rows]
+    B = M[np.ix_(rows, cols)]
+    pivots, z, den, (A, C, p) = _certified_solve(B, [1] * len(B))
+    if len(pivots) < len(B):
+        return None
+    (pi, pi_den), = dixon_lift(A.T, np.ascontiguousarray(C.T), np.ones((len(B), 1), A.dtype), p)
+    y = [Fraction(0)] * n
+    for j, zj in zip(cols, z):
+        y[j] = Fraction(zj, den)
+    duals = [Fraction(0)] * n
+    for i, pj in zip(rows, pi):
+        duals[i] = Fraction(pj, pi_den)
+    return y, duals
+
+
+def certified_fraction(
+    D: DistanceMatrix,
+    y: list[Fraction],
+    duals: list[Fraction],
+    basis: list[int] | None = None,
+) -> GameSolution:
+    """`graphcurv.game._certified` on Fraction lists, one `transport_vector` per certificate.
+
+    This was the library's certificate, uniqueness check included, before
+    the pair stayed integer numerators and both certificates came from one
+    two-column product.
+    """
+    total = sum(y)
+    if total <= 0 or sum(duals) != total:
+        raise HardVerificationError("simplex returned a non-closing primal/dual pair")
+    if min(y) < 0 or min(duals) < 0:
+        raise HardVerificationError("simplex returned a primal/dual pair with a negative entry")
+    shifted_value = Fraction(1) / total
+    # duals solve min sum x, M^T x >= 1: the column player's (maximin) side
+    maximin = Measure(x * shifted_value for x in duals)
+    minimax = Measure(x * shifted_value for x in y)
+    value = shifted_value - 1
+
+    low = transport_vector(D, maximin)
+    high = transport_vector(D, minimax)  # D is symmetric, so D^T Q = D Q
+    if low.A != value or high.B != value:
+        raise HardVerificationError(
+            f"game certificates do not close: min(D P) = {low.A}, value = {value}, "
+            f"max(D^T Q) = {high.B}"
+        )
+    sol = GameSolution(value=value, maximin_strategy=maximin, minimax_strategy=minimax)
+    if basis is not None and not _unique_optimum_fraction(basis, sol, low.dp, high.dp):
+        raise HardVerificationError("the basis is optimal but its optimum is not unique")
+    return sol
+
+
+def _unique_optimum_fraction(
+    basis: list[int],
+    sol: GameSolution,
+    low: tuple[Fraction, ...],
+    high: tuple[Fraction, ...],
+) -> bool:
+    """`graphcurv.game._unique_optimum` with the tight sets read off D P and D Q as Fractions."""
+    n = len(low)
+    cols = {j for j in basis if j < n}
+    rows = set(range(n)) - {j - n for j in basis if j >= n}
+    value = sol.value
+    return (set(sol.minimax_strategy.support()) == cols == {j for j, x in enumerate(low) if x == value}
+            and set(sol.maximin_strategy.support()) == rows
+            == {i for i, x in enumerate(high) if x == value})
 
 
 def simplex_bland_fraction(M: list[list[Fraction]]) -> tuple[list[Fraction], list[Fraction]]:

@@ -1,11 +1,14 @@
 import functools
+import re
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
 from graphcurv import (
     DistanceMatrix,
+    Graph,
     HardVerificationError,
     SolveStatus,
     apsp,
@@ -25,10 +28,11 @@ from graphcurv import (
     transport_vector,
     verify_minimax,
 )
-from graphcurv import curvature, game
+from graphcurv import curvature, game, verifier
 import oracles
-from oracles import (bareiss_solve, basis_pair_two_inverses, game_value_float,
-                     simplex_basis_full, simplex_bland_fraction)
+from oracles import (bareiss_solve, basis_pair_fraction, basis_pair_two_inverses,
+                     certified_fraction, game_value_float, simplex_basis_full,
+                     simplex_bland_fraction)
 from test_curvature import small_primes_first
 
 
@@ -153,9 +157,21 @@ def fraction_rows(M):
     return [[Fraction(x) for x in row] for row in M.tolist()]
 
 
+def integer_pair(y, duals):
+    """Fraction lists y and duals as `game._basis_pair`'s (y, den), (pi, pi_den).
+
+    Each denominator is the lcm of the entries' own, as the lift gives it.
+    """
+    pair = []
+    for v in (y, duals):
+        den = lcm(*(x.denominator for x in v))
+        pair.append(([x.numerator * (den // x.denominator) for x in v], den))
+    return tuple(pair)
+
+
 def bland_only(D):
     """The reference exact Bland simplex's answer, certified."""
-    return game._certified(D, *simplex_bland_fraction(fraction_rows(D.entries + 1)))
+    return game._certified(D, *integer_pair(*simplex_bland_fraction(fraction_rows(D.entries + 1))))
 
 
 @functools.cache
@@ -428,7 +444,7 @@ class TestExactRun:
         M = np.array([[big, 2 * big, 1], [2 * big, big, 1], [1, 1, big]], dtype=np.int64)
         fractions = fraction_rows(M)
         basis = game._simplex_basis(np.array(fractions, dtype=object), False)
-        assert game._basis_pair(M, basis) == simplex_bland_fraction(fractions)
+        assert game._basis_pair(M, basis) == integer_pair(*simplex_bland_fraction(fractions))
 
     @pytest.mark.parametrize("spec,seed", [("hypercube:3", 0), ("gnp:12,1/3", 5), ("cycle:9", 0)])
     def test_pivot_cap_leaves_the_exact_run_alone(self, spec, seed, monkeypatch):
@@ -537,7 +553,7 @@ class TestBasisPair:
         bases = [b for b in bases if b is not None]
         assert bases
         for basis in bases:
-            assert game._basis_pair(M, basis) == basis_pair_two_inverses(M, basis)
+            assert game._basis_pair(M, basis) == integer_pair(*basis_pair_two_inverses(M, basis))
 
     @pytest.mark.parametrize("spec,size", [("cycle:39", 39), ("gnp:120,1/12", 18)])
     def test_one_inverse(self, spec, size, monkeypatch):
@@ -554,6 +570,114 @@ class TestBasisPair:
         monkeypatch.setattr(curvature, "_eliminate_mod", counted)
         assert game._basis_pair(M, basis) is not None
         assert calls == [size]
+
+
+def certify_or_message(certify, D, pair, basis):
+    """The solution `certify` returns for the pair, or the message of its refusal."""
+    try:
+        return certify(D, *pair, basis)
+    except HardVerificationError as e:
+        return str(e)
+
+
+def matches_fraction_oracle(D, basis):
+    """Whether `basis` passes the uniqueness check, after asserting that the oracles agree.
+
+    The integer pair must be the Fraction pair, and `_certified` must give the same
+    solution or refusal as `certified_fraction`, without and with the uniqueness check.
+    """
+    M = D.entries + 1
+    pair, fractions = game._basis_pair(M, basis), basis_pair_fraction(M, basis)
+    if fractions is None:
+        assert pair is None
+        return None
+    assert pair == integer_pair(*fractions)
+    answers = [certify_or_message(game._certified, D, pair, b) for b in (None, basis)]
+    assert answers == [certify_or_message(certified_fraction, D, fractions, b)
+                       for b in (None, basis)]
+    return isinstance(answers[1], game.GameSolution)
+
+
+class TestIntegerPair:
+    """The pair as integer numerators against the Fraction pair and certificate it replaced."""
+
+    @pytest.mark.parametrize("spec,seed", TestCondensedTableau.SPECS)
+    def test_benchmark_specs(self, spec, seed, monkeypatch):
+        D = apsp(parse_generator_spec(spec, seed=seed))
+        M = D.entries + 1
+        bases = [raw_candidate_basis(M, monkeypatch), game._simplex_basis(M, False)]
+        bases = [b for b in bases if b is not None]
+        assert bases
+        for basis in bases:
+            matches_fraction_oracle(D, basis)
+
+    def test_at_scale(self, monkeypatch):
+        decisions = []
+        for n, seed in AT_SCALE:
+            D = apsp(gnp(n, Fraction(1, n // 10), seed)[0])
+            decisions.append(matches_fraction_oracle(D, raw_candidate_basis(D.entries + 1,
+                                                                             monkeypatch)))
+        assert decisions.count(True) >= 25 and decisions.count(False) >= 1
+
+    def test_sums_close_only_without_denominators(self):
+        # both numerators sum to 2, but 2/3 != 2/2
+        with pytest.raises(HardVerificationError, match="non-closing"):
+            game._certified(apsp(path(2)), ([1, 1], 3), ([1, 1], 2))
+
+    @pytest.mark.parametrize("primal,dual", [(([2, -1], 3), ([1, 0], 3)),
+                                             (([1, 0], 3), ([-1, 2], 3))], ids=["y", "pi"])
+    def test_negative_entry(self, primal, dual):
+        with pytest.raises(HardVerificationError, match="negative entry"):
+            game._certified(apsp(path(2)), primal, dual)
+
+    # path:2's game has value 1/2, P = Q = (1/2, 1/2) and y = pi = (1/3, 1/3)
+    @pytest.mark.parametrize("primal,dual,message", [
+        (([1, 1], 3), ([2, 0], 3), "min(D P) = 0, value = 1/2, max(D^T Q) = 1/2"),
+        (([2, 0], 3), ([1, 1], 3), "min(D P) = 1/2, value = 1/2, max(D^T Q) = 1"),
+    ], ids=["maximin", "minimax"])
+    def test_certificate_off_by_one(self, primal, dual, message):
+        D = apsp(path(2))
+        assert game._certified(D, ([1, 1], 3), ([1, 1], 3)).value == Fraction(1, 2)
+        with pytest.raises(HardVerificationError, match=re.escape(message)):
+            game._certified(D, primal, dual)
+
+    def test_wrong_tight_set(self):
+        # on path:3, P = Q = (1/2, 0, 1/2) is optimal with D P = D Q = 1, so vertex 1 is
+        # tight though the basis leaves y_1 out: Q = (a, 1 - 2a, a) is optimal for a <= 1/2
+        D = apsp(path(3))
+        pair = ([1, 0, 1], 4), ([1, 0, 1], 4)
+        assert game._certified(D, *pair).value == 1
+        with pytest.raises(HardVerificationError, match="not unique"):
+            game._certified(D, *pair, [0, 2, 4])
+
+    def test_unique_optimum_with_two_supports(self):
+        # gnp(6, 1/2, seed 38): supp(P) = {0, 4, 5} and supp(Q) = {1, 4, 5}, so reading
+        # each tight set off the other strategy's column would reject this unique optimum
+        D = apsp(Graph(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (4, 5)]))
+        sol = game._certified(D, ([0, 5, 0, 0, 1, 1], 18), ([3, 0, 0, 0, 2, 2], 18),
+                              [5, 7, 8, 9, 1, 4])
+        assert sol.value == Fraction(11, 7)
+        assert sol.maximin_strategy.q == (3, 0, 0, 0, 2, 2)
+        assert sol.minimax_strategy.q == (0, 5, 0, 0, 1, 1)
+        assert sol == bland_only(D)
+
+    @pytest.mark.parametrize("spec,seed", [("hypercube:3", 0), ("cycle:9", 0), ("gnp:12,1/3", 5)])
+    def test_python_int_product(self, spec, seed, monkeypatch):
+        D = apsp(parse_generator_spec(spec, seed=seed))
+        expected = game_value(D)
+        dtypes = []
+        block = game._transport_block
+
+        def spy(D, num, den):
+            N = block(D, num, den)
+            dtypes.append((num.dtype, N.dtype))
+            return N
+
+        monkeypatch.setattr(game, "_transport_block", spy)
+        monkeypatch.setattr(verifier, "FLOAT_EXACT_MAX", 1)
+        monkeypatch.setattr(verifier, "INT64_MAX", 1)
+        assert game_value(D) == expected
+        assert dtypes and set(dtypes) == {(np.dtype(object), np.dtype(object))}
 
 
 def test_comparison_reuses_given_game_solution(monkeypatch):

@@ -30,6 +30,7 @@ curvature system, 5 hard verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -55,7 +56,7 @@ from .errors import (
 from .game import GameSolution, game_value, game_vs_curvature, search_lower_violation
 from .graphs import Graph, parse_edge_list, parse_generator_spec, serialize
 from .metric import DistanceMatrix, apsp, eccentricities, row_sums
-from .rationals import rational_str
+from .rationals import FLOAT_EXACT_MAX, rational_str
 from .verifier import measure_battery, verify_minimax
 
 EXIT_OK = 0
@@ -86,6 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VERIFICATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphcurv",
@@ -133,24 +135,14 @@ def _load_graph(args) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# rational rendering
+# output in the chosen format
 
 
-def _rat(x: Fraction | None) -> str | None:
-    return None if x is None else rational_str(x)
-
-
-def _ratf(x: Fraction | None) -> float | None:
-    return None if x is None else float(x)
-
-
-def _emit(doc: dict, fmt: str, table_renderer=None) -> int:
+def _emit(doc: dict, fmt: str, table_renderer) -> int:
     if fmt == "json":
         _write_json(doc)
-    elif fmt == "table" and table_renderer is not None:
-        table_renderer(doc)
     else:
-        raise GraphInputError(f"unsupported format {fmt!r} for this command")
+        table_renderer(doc)
     return EXIT_OK
 
 
@@ -305,16 +297,16 @@ def _curvature_doc(D: DistanceMatrix, sol: CurvatureSolution) -> dict:
         doc.update({
             "w": [rational_str(x) for x in sol.w],
             "w_float": [float(x) for x in sol.w],
-            "l1_norm": _rat(sol.l1_norm),
-            "l1_norm_float": _ratf(sol.l1_norm),
-            "bound_K": _rat(sol.bound_K),
-            "bound_K_float": _ratf(sol.bound_K),
-            "min_entry": _rat(sol.min_entry),
-            "min_entry_float": _ratf(sol.min_entry),
+            "l1_norm": rational_str(sol.l1_norm),
+            "l1_norm_float": float(sol.l1_norm),
+            "bound_K": rational_str(sol.bound_K),
+            "bound_K_float": float(sol.bound_K),
+            "min_entry": rational_str(sol.min_entry),
+            "min_entry_float": float(sol.min_entry),
             "nonneg": sol.nonneg,
         })
     oracle = transitive_oracle(D)
-    doc["transitive_oracle_K"] = _rat(oracle)
+    doc["transitive_oracle_K"] = None if oracle is None else rational_str(oracle)
     return doc
 
 
@@ -337,9 +329,7 @@ def _cmd_curvature(args) -> int:
         return _emit(doc, args.format, _render_curvature_table)
     sol = solve_curvature(D)
     if sol.status is SolveStatus.INCONSISTENT:
-        raise InconsistentSystemError(
-            f"D w = n 1 has no solution for this graph (n={g.n})"
-        )
+        raise InconsistentSystemError(f"D w = n 1 has no solution for this graph (n={g.n})")
     if args.format == "csv":
         print("vertex,w,w_float")
         for i, x in enumerate(sol.w):
@@ -407,12 +397,12 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
 def _ratio_columns(num: np.ndarray, den: np.ndarray) -> tuple[list[str], list[float]]:
     """The "p/q" text and the float of each reduced ratio num[i] / den[i].
 
-    When num and den are at most 2^53 both convert to float64 exactly, and
-    one correctly rounded division gives float(Fraction(num, den)).
+    When num and den are at most FLOAT_EXACT_MAX both convert to float64
+    exactly, and one correctly rounded division gives float(Fraction(num, den)).
     """
     nums, dens = num.tolist(), den.tolist()
     text = [f"{p}/{q}" for p, q in zip(nums, dens)]
-    if max(nums + dens, default=0) <= 1 << 53:
+    if max(nums + dens, default=0) <= FLOAT_EXACT_MAX:
         return text, (num.astype(np.float64) / den.astype(np.float64)).tolist()
     return text, [float(Fraction(p, q)) for p, q in zip(nums, dens)]
 

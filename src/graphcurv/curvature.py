@@ -26,10 +26,11 @@ import numpy as np
 
 from .errors import HardVerificationError, InconsistentSystemError, NumericallySingularError
 from .metric import DistanceMatrix, row_sums
+from .rationals import INT64_MAX, exact_matmul
 
 FLOAT_PIVOT_FLOOR = 1e-12  # scaled by n at use
 LIFT_PRIME = 33554393  # the largest prime below 2**25
-LIFT_MAX_N = (2**63 - 1) // LIFT_PRIME**2  # 8192: n p^2 < 2^63 keeps int64 sums of products exact
+LIFT_MAX_N = INT64_MAX // LIFT_PRIME**2  # 8192: n p^2 < 2^63 keeps int64 sums of products exact
 _RESIDUAL_ROWS = 256  # rows of D per float block of the residual
 
 
@@ -166,16 +167,15 @@ def _reconstruct(u: list[int], m: int) -> tuple[list[int], int] | None:
 def _holds(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]], bound: int) -> list[bool]:
     """For each column j of B, whether A num_j == den_j B[:, j] exactly, for sols[j] = (num_j, den_j).
 
-    `bound` is at least every |entry| of A and B.  The products run in int64
-    when no sum can overflow, else on Python ints.
+    `bound` is at least every |entry| of A and B, so cols(A) bound
+    max(|num_j|, den_j) bounds every partial sum for `exact_matmul`.
     """
     if not sols:
         return []
     nums, dens = zip(*sols)
     big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
-    exact = A.dtype != object and big * bound * max(1, A.shape[1]) < 2**63
-    dtype = np.int64 if exact else object
-    return (A @ np.array(nums, dtype=dtype).T == B * np.array(dens, dtype=dtype)).all(0).tolist()
+    N = exact_matmul(A, nums, big * max(1, bound) * max(1, A.shape[1]))
+    return (N == B * np.array(dens, dtype=N.dtype)).all(0).tolist()
 
 
 def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
@@ -235,7 +235,7 @@ def _certified_solve(
     # free columns of A join b on the right-hand side, so the lift's |R| stays
     # below beta + 2 size a for beta = max(a, |b|), and R - A X below size p (2 a + beta)
     beta = max([a, *map(abs, b)])
-    if size > LIFT_MAX_N or size * LIFT_PRIME * (2 * a + beta) >= 2**63:
+    if size > LIFT_MAX_N or size * LIFT_PRIME * (2 * a + beta) > INT64_MAX:
         A = A.astype(object)
     bvec = np.array(b, dtype=A.dtype)
     for p in _primes():

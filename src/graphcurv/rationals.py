@@ -1,16 +1,41 @@
-"""Exact rational scalars.
+"""Exact scalars, and the one exact integer product behind every certificate.
 
-All exact computation in this package runs on arbitrary-precision rationals.
-The carrier type is :class:`fractions.Fraction`, which already keeps the
-canonical form we need (gcd-reduced, positive denominator, zero as 0/1) and
-gives exact field arithmetic with a total order.  This module pins the entry
-points so that no float ever leaks into an exact path: constructors accept
-integers only.
+Exact values cross the API as canonical `fractions.Fraction`s, built from
+integers only, so that no float leaks into them.  Inside, the exact stages
+carry integer numerators over a denominator, and every certificate (the
+identity A num = den b of each lifted solution, the sandwich and the game's
+D P) is one `exact_matmul` product, whose bounds FLOAT_EXACT_MAX and
+INT64_MAX are defined here only.  Its float64 tier is FFLAS-FFPACK's exact
+BLAS product of bounded integers (Dumas, Giorgi & Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
+
+FLOAT_EXACT_MAX = 1 << 53  # every integer of magnitude up to this is exact in float64
+INT64_MAX = (1 << 63) - 1
+
+
+def exact_matmul(A: np.ndarray, columns, bound: int, A_float: np.ndarray | None = None) -> np.ndarray:
+    """A @ X, exactly, for the integer matrix X whose columns (an array or lists) are `columns`.
+
+    `bound` is at least every |X[j, c]| and every sum_j |A[i, j] X[j, c]|,
+    so it bounds every partial sum in any order.  The product runs on
+    float64 BLAS, cast back to int64, when bound <= FLOAT_EXACT_MAX; on int64
+    when bound <= INT64_MAX; and on Python ints otherwise or when A or
+    `columns` is an object array.  `A_float` is A as float64, when a caller
+    that takes many products with A has converted it once.
+    """
+    if bound > INT64_MAX or A.dtype == object or getattr(columns, "dtype", None) == object:
+        return A.astype(object, copy=False) @ np.asarray(columns, dtype=object).T
+    if bound > FLOAT_EXACT_MAX:
+        return A.astype(np.int64, copy=False) @ np.asarray(columns, dtype=np.int64).T
+    if A_float is None:
+        A_float = A.astype(np.float64)
+    return (A_float @ np.asarray(columns, dtype=np.float64).T).astype(np.int64)
 
 
 def rational_from(numerator: int, denominator: int = 1) -> Fraction:

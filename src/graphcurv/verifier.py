@@ -9,10 +9,10 @@ The battery is a `Battery`: k measures as one k x n matrix of reduced
 numerators q over a vector of denominators den, so D P = (D q) / den, and A
 and B are the column min and max of N = D Q over den.  `verify_minimax`
 takes one product N = D Q per block of at most n measures, as many as fit
-a byte budget, keeps A and B as reduced integer arrays, and decides lower,
-upper and tight for all measures at once by integer cross-multiplication
-with K.  A rational or a `MeasureRecord` per measure is built only when
-`VerificationReport.records` is read.
+a byte budget, through `rationals.exact_matmul`, keeps A and B as reduced
+integer arrays, and decides lower, upper and tight for all measures at once
+by integer cross-multiplication with K.  A rational or a `MeasureRecord`
+per measure is built only when `VerificationReport.records` is read.
 
 The inner-product identity <w, D P> = n is what makes the sandwich work:
 n = <n 1, P> = <D w, P> = <w, D P>, which lies between A ||w||_1 and
@@ -35,9 +35,8 @@ from .errors import HardVerificationError, InconsistentSystemError
 from .measures import Battery, Measure, sample_weights
 from .measures import sample_measures  # noqa: F401  (perfbench/tracing.py patches it here)
 from .metric import DistanceMatrix
+from .rationals import INT64_MAX, exact_matmul
 
-INT64_MAX = (1 << 63) - 1
-FLOAT_EXACT_MAX = 1 << 53  # every integer up to this is exact in float64
 BATTERY_PAIR_LIMIT = 12  # include pair-uniform measures in the battery up to this n
 # bytes of one float64 block of N (and of its Q) in verify_minimax: blocks
 # hold n columns up to n = 181, and above that the block products stay below
@@ -128,7 +127,7 @@ def transport_vector(D: DistanceMatrix, P: Measure) -> TransportBounds:
     P = q / den, with D q from `_transport_block`.
     """
     battery = _as_battery(D, [P])
-    num = _exact_ints(_transport_block(D, battery.num, battery.den)[:, 0]).tolist()
+    num = _transport_block(D, battery.num, battery.den)[:, 0].tolist()
     lo, hi = min(num), max(num)
     dp = tuple(Fraction(x, P.den) for x in num)
     return TransportBounds(dp=dp, A=Fraction(lo, P.den), B=Fraction(hi, P.den),
@@ -162,24 +161,10 @@ def _transport_block(D: DistanceMatrix, num: np.ndarray, den: np.ndarray,
                      D_float: np.ndarray | None = None) -> np.ndarray:
     """N = D Q, exactly, for the n x k matrix Q = num.T of at most n measures.
 
-    Column j of N is den[j] times the transport vector of measure j.  Every
-    term and partial sum of column j is a non-negative integer at most
-    max(D) * den[j], so when max(D) times the block's largest den is at most
-    2^53 the float64 (BLAS) product is exact and N is returned as float64,
-    for `_exact_ints` to cast whatever part of it the caller keeps; otherwise
-    the product runs on Python ints.  `D_float`, when given, is D.entries as
-    float64, converted once by a caller that takes many blocks.
+    Column j of N is den[j] times the transport vector of measure j, and
+    its partial sums are at most max(D) den[j], the bound for `exact_matmul`.
     """
-    if max(int(D.entries.max()), 1) * int(den.max()) > FLOAT_EXACT_MAX:
-        return D.entries.astype(object) @ num.T.astype(object)
-    if D_float is None:
-        D_float = D.entries.astype(np.float64)
-    return D_float @ num.T.astype(np.float64)
-
-
-def _exact_ints(x: np.ndarray) -> np.ndarray:
-    """Entries of a `_transport_block` product as int64 (from float64) or Python ints."""
-    return x.astype(np.int64) if x.dtype == np.float64 else x
+    return exact_matmul(D.entries, num, max(int(D.entries.max()), 1) * int(den.max()), D_float)
 
 
 def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,13 +219,13 @@ def verify_minimax(
     """Check A <= K <= B per measure by exact comparison.
 
     A sequence that is not a `Battery` is made into one first, and the
-    battery's dimension is checked before any product.  A and B come from
-    one `_transport_block` per block of at most n measures whose float64 N
-    fits `_BLOCK_BYTES`, and only its column min and max are cast to ints.
-    The upper bound must hold for every measure, and the lower bound for
-    every measure whenever w is non-negative; either failure raises
-    HardVerificationError, naming the first failing measure in battery
-    order, since it falsifies the implementation, not the theorem.  Lower failures for signed w are
+    battery's dimension is checked before any product.  A and B are the
+    column min and max of one `_transport_block` per block of at most n
+    measures whose N fits `_BLOCK_BYTES`.  The upper bound must hold for
+    every measure, and the lower bound for every measure whenever w is
+    non-negative; either failure raises HardVerificationError, naming the
+    first failing measure in battery order, since it falsifies the
+    implementation, not the theorem.  Lower failures for signed w are
     recorded as findings.
     """
     if sol.status is SolveStatus.INCONSISTENT:
@@ -250,11 +235,10 @@ def verify_minimax(
     lo, hi = [np.zeros(0, dtype=battery.den.dtype)], [np.zeros(0, dtype=battery.den.dtype)]
     D_float = D.entries.astype(np.float64)
     width = min(D.n, max(1, _BLOCK_BYTES // (8 * D.n)))
-    for start in range(0, len(battery), width):
-        N = _transport_block(D, battery.num[start:start + width],
-                             battery.den[start:start + width], D_float)
-        lo.append(_exact_ints(N.min(axis=0)))
-        hi.append(_exact_ints(N.max(axis=0)))
+    for rows in (slice(start, start + width) for start in range(0, len(battery), width)):
+        N = _transport_block(D, battery.num[rows], battery.den[rows], D_float)
+        lo.append(N.min(axis=0))
+        hi.append(N.max(axis=0))
         del N  # before the next block's product, so that one N at a time is alive
     A_num, A_den = _reduce(np.concatenate(lo), battery.den)
     B_num, B_den = _reduce(np.concatenate(hi), battery.den)

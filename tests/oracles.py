@@ -54,7 +54,8 @@ from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL, GameSolution
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
-from graphcurv.verifier import BATTERY_PAIR_LIMIT, INT64_MAX
+from graphcurv.rationals import INT64_MAX
+from graphcurv.verifier import BATTERY_PAIR_LIMIT
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

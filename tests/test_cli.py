@@ -355,6 +355,47 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "game", "report"])
+    def test_csv_format_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--input", "path:4", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+# one process runs these through main() on its one parser, twice over; among
+# them an exit through parser.error and one through argparse's own choices
+PARSER_REUSE_COMMANDS = [
+    ["report", "--input", "cycle:8", "--format", "table"],
+    ["verify", "--input", "path:4", "--samples", "-3"],
+    ["curvature", "--input", "star:5", "--format", "csv"],
+    ["verify", "--input", "gnp:12,1/3", "--seed", "5", "--samples", "7", "--format", "table"],
+    ["game", "--input", "path:4", "--format", "csv"],
+    ["dist", "--input", "grid:3,4"],
+    ["report", "--input", "complete:1"],
+    ["curvature", "--input", "star:5", "--float"],
+]
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def run_fresh(argv):
+    result = subprocess.run([sys.executable, "-m", "graphcurv.cli", *argv], env=src_env(),
+                            capture_output=True, text=True, timeout=120)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_one_parser_per_process_matches_fresh_runs(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    seen = [run_in_process(capsys, argv) for argv in PARSER_REUSE_COMMANDS * 2]
+    assert seen == [run_fresh(argv) for argv in PARSER_REUSE_COMMANDS] * 2
+
 
 # (command, spec, seed) -> tests/data/<command>_<spec>_seed<seed>.json, the
 # JSON output of the Fraction-elimination and Bland-simplex implementation,

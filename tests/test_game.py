@@ -28,7 +28,7 @@ from graphcurv import (
     transport_vector,
     verify_minimax,
 )
-from graphcurv import curvature, game, verifier
+from graphcurv import curvature, game, rationals
 import oracles
 from oracles import (bareiss_solve, basis_pair_fraction, basis_pair_two_inverses,
                      certified_fraction, game_value_float, simplex_basis_full,
@@ -666,18 +666,18 @@ class TestIntegerPair:
         D = apsp(parse_generator_spec(spec, seed=seed))
         expected = game_value(D)
         dtypes = []
-        block = game._transport_block
+        kernel = game.exact_matmul
 
-        def spy(D, num, den):
-            N = block(D, num, den)
-            dtypes.append((num.dtype, N.dtype))
+        def spy(A, columns, bound):
+            N = kernel(A, columns, bound)
+            dtypes.append(N.dtype)
             return N
 
-        monkeypatch.setattr(game, "_transport_block", spy)
-        monkeypatch.setattr(verifier, "FLOAT_EXACT_MAX", 1)
-        monkeypatch.setattr(verifier, "INT64_MAX", 1)
+        monkeypatch.setattr(game, "exact_matmul", spy)
+        monkeypatch.setattr(rationals, "FLOAT_EXACT_MAX", 1)
+        monkeypatch.setattr(rationals, "INT64_MAX", 1)
         assert game_value(D) == expected
-        assert dtypes and set(dtypes) == {(np.dtype(object), np.dtype(object))}
+        assert dtypes and set(dtypes) == {np.dtype(object)}
 
 
 def test_comparison_reuses_given_game_solution(monkeypatch):

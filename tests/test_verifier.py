@@ -36,7 +36,7 @@ from graphcurv import (
     verify_minimax,
 )
 from graphcurv import game, verifier
-from graphcurv.verifier import FLOAT_EXACT_MAX, INT64_MAX
+from graphcurv.rationals import FLOAT_EXACT_MAX, INT64_MAX
 from oracles import (
     battery_bounds_int64,
     measure_battery_fraction,
@@ -261,18 +261,49 @@ class TestVerifyMinimax:
     def test_float_product_guard_at_2_pow_53(self, extra):
         # max(D) = 2 on path:3, so den = 2^52 is the largest den of a float64
         # block; at 2^52 + 1 the entry 2 q_0 + q_1 = 2^53 + 1 has no float64
+        # and the block takes int64.  Only the float64 tier reads D_float, so
+        # a zero D_float gives a zero N exactly when that tier ran.
         D, sol = solved(path(3))
         den = FLOAT_EXACT_MAX // 2 + extra
         mu = Measure.from_weights([den - 1, 1, 0])
         assert mu.den == den
         battery = verifier._as_battery(D, [("edge", mu)])
         N = verifier._transport_block(D, battery.num, battery.den)
-        assert N.dtype == (object if extra else np.float64)
+        zero = verifier._transport_block(D, battery.num, battery.den, np.zeros((3, 3)))
+        assert N.dtype == np.int64 and (not zero.any()) == (not extra)
         dp = transport_vector_rowsum(D, mu)
-        assert [Fraction(x, den) for x in verifier._exact_ints(N[:, 0]).tolist()] == list(dp)
+        assert [Fraction(x, den) for x in N[:, 0].tolist()] == list(dp)
         assert transport_vector(D, mu).dp == dp
         measures = [("edge", mu), ("uniform", measure_uniform(3))]
         assert verify_minimax(D, sol, measures) == verify_minimax_per_measure(D, sol, measures)
+
+    def test_int64_blocks_between_2_pow_53_and_2_pow_63(self, monkeypatch):
+        # dens of about 2^57 and 2^60, and max(D) = 4 on gnp(20, 1/4, seed 3):
+        # max(D) den lies in (2^53, 2^63], so their block takes the int64 product
+        g = gnp(20, Fraction(1, 4), 3)[0]
+        D, sol = solved(g)
+        wide = [("wide:0", Measure.from_weights([2 ** 57 - 19] + [1] * 19)),
+                ("wide:1", Measure.from_weights([(i * 2 ** 52) + 3 for i in range(1, 21)]))]
+        battery = measure_battery_measures(20, samples=30, seed=4)
+        battery[25:25] = wide  # the third of six blocks of 10 measures
+        tiers = []
+        kernel = verifier.exact_matmul
+
+        def spy(A, columns, bound, A_float=None):
+            N = kernel(A, columns, bound, A_float)
+            tiers.append((FLOAT_EXACT_MAX < bound <= INT64_MAX, N.dtype))
+            return N
+
+        monkeypatch.setattr(verifier, "exact_matmul", spy)
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", 8 * 20 * 10)
+        report = verify_minimax(D, sol, battery)
+        assert tiers == [(False, np.int64), (False, np.int64), (True, np.int64),
+                          (False, np.int64), (False, np.int64), (False, np.int64)]
+        monkeypatch.undo()
+        assert report == verify_minimax_per_measure(D, sol, battery)
+        for (_, mu), rec in zip(battery, report.records):
+            dp = transport_vector_rowsum(D, mu)
+            assert (rec.A, rec.B) == (min(dp), max(dp))
 
     def test_block_products_below_two_copies_of_D(self):
         # n = 300 takes blocks of 109 columns: float D, then one float Q and

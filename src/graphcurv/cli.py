@@ -458,7 +458,7 @@ def _cmd_game(args) -> int:
     D = apsp(g)
     sol = solve_curvature(D)
     doc = {"command": "game", "input": args.input, "n": g.n, "m": g.m}
-    doc.update(_game_doc(D, sol, game_value(D)))
+    doc.update(_game_doc(D, sol, game_value(D, sol)))
     return _emit(doc, args.format, _render_game_table)
 
 
@@ -495,7 +495,7 @@ def _cmd_report(args) -> int:
         doc["game"] = None
         _emit(doc, args.format, _render_report_table)
         raise InconsistentSystemError(f"D w = n 1 has no solution for this graph (n={g.n})")
-    gsol = game_value(D)
+    gsol = game_value(D, sol)
     doc["verification"] = _verification_doc(D, sol, args.samples, args.seed, gsol)
     doc["game"] = _game_doc(D, sol, gsol)
     return _emit(doc, args.format, _render_report_table)

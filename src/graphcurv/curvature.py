@@ -85,11 +85,11 @@ def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
     M[:, :k] = A % p
     M[:, k:] = np.eye(m, dtype=A.dtype)
     cols: list[int] = []
+    r = 0  # the pivots so far
     for c in range(k):
-        r = len(cols)
         col = M[r:, c]
         col %= p
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -101,8 +101,9 @@ def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
         row %= p
         f = M[:, c] % p
         f[r] = 0
-        M[:, c:] -= np.outer(f, row)
+        M[:, c:] -= f[:, None] * row
         cols.append(c)
+        r += 1
     C = M[:len(cols), k:] % p
     rows = np.flatnonzero(C.any(axis=0))
     return rows.tolist(), cols, C if len(rows) == m else C[:, rows]

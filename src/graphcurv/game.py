@@ -13,6 +13,10 @@ it, so that strategy is a lower-bound witness (A > K) exactly when value > K
 
 The solve is exact at close to float cost, in the manner of QSopt_ex
 (Applegate, Cook, Dash and Espinoza 2007):
+  0. given `solve_curvature(D)` with a unique w = num / den > 0, y = pi =
+     num / (n den + sum(num)) is a primal/dual pair on the basis of all n
+     y columns, since M num = (n den + sum(num)) 1 for M = D + 1 1^T; when
+     it passes the checks of step 2, uniqueness included, no simplex runs;
   1. a float64 simplex priced by steepest edge (Goldfarb and Reid 1977),
      which needs 10-60x fewer pivots than Bland's rule on gnp games, yields
      its final basis when that tableau looks nondegenerate;
@@ -42,6 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -77,11 +82,27 @@ class GameCurvatureComparison:
     nonneg: bool
 
 
-def game_value(D: DistanceMatrix) -> GameSolution:
-    """Solve the matrix game on D exactly and verify both certificates."""
+def game_value(D: DistanceMatrix, curvature: CurvatureSolution | None = None) -> GameSolution:
+    """Solve the matrix game on D exactly and verify both certificates.
+
+    `curvature`, when given, must be `solve_curvature(D)`'s result.  Its
+    UNIQUE status is what makes M = D + 1 1^T nonsingular, as the uniqueness
+    argument needs: det M = det D (1 + ||w||_1 / n).  When also every entry
+    of w is positive, w is certified as the game's only optimal pair before
+    any simplex runs (step 0 of the module docstring).
+    """
     n = D.n
     if n < 1:
         raise ValueError("game needs at least one vertex")
+    if (curvature is not None and curvature.status is SolveStatus.UNIQUE
+            and curvature.min_entry > 0):
+        den = lcm(*(x.denominator for x in curvature.w))
+        num = [x.numerator * (den // x.denominator) for x in curvature.w]
+        pair = (num, n * den + sum(num))  # M num = (n den + sum(num)) 1
+        try:
+            return _certified(D, pair, pair, list(range(n)))
+        except HardVerificationError:
+            pass  # not this D's positive w: solve the game as if none were given
     M = D.entries + 1  # shifted payoffs, all >= 1
 
     # float steepest edge, float Bland, exact Bland: a failed float run hands
@@ -178,7 +199,7 @@ def game_vs_curvature(
     if sol.status is not SolveStatus.UNIQUE:
         raise ValueError(f"comparison needs a unique curvature solution, got {sol.status.value}")
     K = curvature_bound(sol, D.n)
-    value = (game if game is not None else game_value(D)).value
+    value = (game if game is not None else game_value(D, sol)).value
     equal = value == K
     if sol.nonneg and not equal:
         raise HardVerificationError(

@@ -393,6 +393,40 @@ def inverse_mod(A: np.ndarray, p: int) -> np.ndarray | None:
     return M[:, n:] % p
 
 
+def eliminate_mod_outer(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """`curvature._eliminate_mod` as it was before its numpy calls were trimmed.
+
+    The rank-1 update is `np.outer`, the pivot search `np.flatnonzero`, and
+    the pivot count is read off `len(cols)`; the arithmetic is the same.
+    """
+    m, k = A.shape
+    M = np.zeros((m, k + m), dtype=A.dtype)
+    M[:, :k] = A % p
+    M[:, k:] = np.eye(m, dtype=A.dtype)
+    cols: list[int] = []
+    for c in range(k):
+        r = len(cols)
+        col = M[r:, c]
+        col %= p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        row = M[r, c:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        f = M[:, c] % p
+        f[r] = 0
+        M[:, c:] -= np.outer(f, row)
+        cols.append(c)
+    C = M[:len(cols), k:] % p
+    rows = np.flatnonzero(C.any(axis=0))
+    return rows.tolist(), cols, C if len(rows) == m else C[:, rows]
+
+
 def solve_system_fraction_lstsq(D: np.ndarray, n: int) -> list[Fraction] | None:
     """Tiny-system solver by Cramer's rule; None when det = 0.
 

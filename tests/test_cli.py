@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcurv
-from graphcurv import apsp, cli, parse_edge_list, parse_generator_spec, path, serialize, star
+from graphcurv import apsp, cli, game, parse_edge_list, parse_generator_spec, path, serialize, star
 from oracles import dist_text_per_int, json_indent2
 from test_metric import family_graphs_up_to
 
@@ -420,6 +420,9 @@ GOLDEN_CASES = [
     ("game", spec, seed) for spec, seed in [("cycle:39", 0), ("complete:40", 0), ("path:40", 0),
                                             ("gnp:60,1/6", 1669037940),
                                             ("gnp:120,1/12", 1943460723)]
+] + [
+    # reports with a unique w > 0, written before its game was certified from w
+    ("report", spec, 0) for spec in ("cycle:39", "complete:40")
 ]
 
 
@@ -430,6 +433,16 @@ def test_output_matches_golden(capsys, command, spec, seed):
     code, out, err = run(capsys, command, "--input", spec, "--seed", str(seed), "--format", "json")
     assert code == 0, err
     assert out == expected
+
+
+@pytest.mark.parametrize("command", ["report", "game"])
+@pytest.mark.parametrize("spec", ["cycle:39", "complete:40"])
+def test_positive_curvature_game_runs_no_simplex(capsys, monkeypatch, command, spec):
+    # w > 0: the game is certified from the curvature solution the command holds
+    name = f"{command}_{spec.replace(':', '_')}_seed0.json"
+    expected = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    monkeypatch.setattr(game, "_simplex_basis", lambda M, steepest: pytest.fail("simplex ran"))
+    assert run(capsys, command, "--input", spec, "--format", "json") == (0, expected, "")
 
 
 def test_inconsistent_report_prints_then_exits_4(capsys):

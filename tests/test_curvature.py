@@ -31,6 +31,7 @@ from graphcurv import curvature
 from graphcurv.curvature import _eliminate_mod, solve_exact
 from oracles import (
     bareiss_solve,
+    eliminate_mod_outer,
     inverse_mod,
     solve_curvature_float_copied,
     solve_curvature_fraction,
@@ -392,6 +393,21 @@ class TestEliminateMod:
         assert rows == cols == list(range(len(A)))
         assert np.array_equal(C, inverse_mod(A, p))
         assert np.array_equal(A.astype(object) @ C.astype(object) % p, np.eye(len(A), dtype=int))
+
+    @pytest.mark.parametrize("spec", ["cycle:40", "grid:5,8", "hypercube:7"])
+    @pytest.mark.parametrize("part", ["all", "top rows", "left columns"])
+    def test_matches_outer_product_kernel(self, spec, part):
+        # singular D and its half-row (wide) and half-column (tall) slices
+        A = apsp(parse_generator_spec(spec)).entries
+        half = len(A) // 2
+        A = {"all": A, "top rows": A[:half], "left columns": A[:, :half]}[part]
+        p = curvature.LIFT_PRIME
+        rows, cols, C = _eliminate_mod(A, p)
+        expected = eliminate_mod_outer(A, p)
+        assert (rows, cols) == expected[:2] and np.array_equal(C, expected[2])
+        if part == "all":
+            assert len(cols) < len(A)  # D is singular, so columns are skipped
+        assert np.array_equal(C, inverse_mod(A[np.ix_(rows, cols)], p))
 
     def test_python_ints_match_int64(self):
         A = self.MATRICES[2]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 from fractions import Fraction
@@ -678,6 +679,66 @@ class TestIntegerPair:
         monkeypatch.setattr(rationals, "INT64_MAX", 1)
         assert game_value(D) == expected
         assert dtypes and set(dtypes) == {np.dtype(object)}
+
+
+def no_simplex(monkeypatch):
+    """Make every simplex run fail the test: the game must be answered without one."""
+    monkeypatch.setattr(game, "_simplex_basis",
+                        lambda M, steepest: pytest.fail("the simplex ran"))
+
+
+class TestPositiveCurvature:
+    """A unique w > 0 is certified as the game's optimal pair before any simplex runs."""
+
+    # every family instance with a unique, positive w
+    POSITIVE = {"odd cycles": [f"cycle:{n}" for n in range(3, 102, 2)],
+                "complete": [f"complete:{n}" for n in range(2, 101)],
+                "two vertices": ["path:2", "star:2", "hypercube:1"]}
+
+    @pytest.mark.parametrize("family", POSITIVE)
+    def test_solves_without_the_simplex(self, family, monkeypatch):
+        for spec in self.POSITIVE[family]:
+            D = apsp(parse_generator_spec(spec))
+            sol = solve_curvature(D)
+            assert sol.status is SolveStatus.UNIQUE and sol.min_entry > 0, spec
+            expected = game_value(D)
+            with monkeypatch.context() as m:
+                no_simplex(m)
+                assert game_value(D, sol) == expected, spec
+                assert game_vs_curvature(D, sol).value == expected.value == sol.bound_K, spec
+
+    @staticmethod
+    def forged(sol, w):
+        l1 = sum(map(abs, w))
+        return dataclasses.replace(sol, w=tuple(w), l1_norm=l1, bound_K=sol.n / l1,
+                                   min_entry=min(w))
+
+    @pytest.mark.parametrize("forge", [
+        lambda w: [w[0] + Fraction(1, 7), *w[1:]],  # one entry perturbed
+        lambda w: [2 * x for x in w],                # D w = 2 n 1
+        lambda w: [x / 3 for x in w],                # D w = n/3 1
+    ], ids=["perturbed", "doubled", "third"])
+    @pytest.mark.parametrize("spec", ["cycle:39", "complete:40", "cycle:5"])
+    def test_forged_curvature_falls_through(self, spec, forge, monkeypatch):
+        D = apsp(parse_generator_spec(spec))
+        sol = solve_curvature(D)
+        forged = self.forged(sol, forge(list(sol.w)))
+        assert forged.min_entry > 0 and forged.w != sol.w
+        expected = game_value(D)
+        runs = spy_runs(monkeypatch)
+        assert game_value(D, forged) == expected
+        assert runs
+
+    @pytest.mark.parametrize("spec", ["cycle:40", "path:40", "star:40"],
+                             ids=["underdetermined", "zeros", "signed"])
+    def test_other_curvature_never_takes_the_shortcut(self, spec, monkeypatch):
+        D = apsp(parse_generator_spec(spec))
+        sol = solve_curvature(D)
+        assert sol.status is not SolveStatus.UNIQUE or sol.min_entry <= 0
+        expected = game_value(D)
+        runs = spy_runs(monkeypatch)
+        assert game_value(D, sol) == expected
+        assert runs
 
 
 def test_comparison_reuses_given_game_solution(monkeypatch):

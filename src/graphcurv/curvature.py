@@ -5,9 +5,13 @@ Every exact solve, this one and the game's basis systems, runs through
 (`_eliminate_mod`) gives the pivot rows I and columns J, and Dixon p-adic
 lifting (`dixon_lift`, Dixon 1982) with rational reconstruction (Wang, Guy
 & Davenport 1982) solves A[I, J] x = b_I and A[I, J] x = A[I, j] for every
-free column j at once.  Null columns that combine only pivot columns left
-of j and hold on every row certify J as the column rank profile over Q
-(Dumas, Pernet & Sultan, ISSAC 2013); otherwise the next prime is tried.
+free column j at once.  The elimination runs in column panels, each taking
+the rest of the matrix in one float64 GEMM, and the lift's products run on
+`exact_matmul`: with p < 2^20 both are exact float64 BLAS, in the manner of
+FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 2008).  Null columns that
+combine only pivot columns left of j and hold on every row certify J as the
+column rank profile over Q (Dumas, Pernet & Sultan, ISSAC 2013); otherwise
+the next prime is tried.
 Then w, free variables zero, satisfies D num = n den 1 on every row, or the
 system is inconsistent.  The float path is plain LU for large instances and
 never classifies the solution set; it imports scipy.linalg only when it
@@ -26,11 +30,14 @@ import numpy as np
 
 from .errors import HardVerificationError, InconsistentSystemError, NumericallySingularError
 from .metric import DistanceMatrix, row_sums
-from .rationals import INT64_MAX, exact_matmul
+from .rationals import FLOAT_EXACT_MAX, INT64_MAX, exact_matmul
 
 FLOAT_PIVOT_FLOOR = 1e-12  # scaled by n at use
-LIFT_PRIME = 33554393  # the largest prime below 2**25
-LIFT_MAX_N = INT64_MAX // LIFT_PRIME**2  # 8192: n p^2 < 2^63 keeps int64 sums of products exact
+LIFT_PRIME = 1048573  # the largest prime below 2**20
+# 8192: up to this size a lift step's product C (R mod p), below n (p-1)^2 < 2^53,
+# is exact on float64 BLAS; beyond it the exact solve runs on Python ints
+LIFT_MAX_N = FLOAT_EXACT_MAX // LIFT_PRIME**2
+_PANEL = 40  # columns per panel of `_eliminate_mod`; its GEMMs need _PANEL (p-1)^2 + p < 2^53
 _RESIDUAL_ROWS = 256  # rows of D per float block of the residual
 
 
@@ -68,45 +75,109 @@ class FloatSolution:
 
 
 def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
-    """Gauss-Jordan on [A | I] modulo the prime p: (rows, cols, C).
+    """Gauss-Jordan modulo the prime p <= LIFT_PRIME, in column panels: (rows, cols, C).
 
     A column with no pivot left is skipped, so `cols` is the column rank
-    profile of A mod p and `rows` (ascending) are the rows the pivots came
-    from.  A pivot row only ever receives multiples of other pivot rows, so
-    the right-hand block of the pivot rows is zero outside `rows`, and there
-    it is C = A[rows, cols]^-1 mod p, which has no zero column; a full-rank
-    square A gives C = A^-1.  The arithmetic is A's dtype.  Only the pivot
-    column and the pivot row are reduced before they are read; every other
-    entry takes one product below p^2 per step, so in int64 it stays below
-    n p^2 < 2^63.
+    profile of A mod p; the pivot is the first nonzero at or below the
+    current row, in the current row order, and `rows` (ascending) are the
+    rows the pivots came from.  C = A[rows, cols]^-1 mod p, with one row per
+    pivot column and one column per pivot row; a full-rank square A gives
+    C = A^-1.  An object A is reduced mod p first, and C comes back in A's
+    dtype.
+
+    Each panel of _PANEL columns is eliminated a column at a time on int64,
+    beside a slab Z that records the row operations in terms of the panel's
+    pivot rows: after the panel every row x is its old self, when it is not
+    a pivot, plus Z[x] times the old pivot rows.  The columns right of the
+    panel and the transform's columns for the earlier pivots, U, then take
+    the panel in one float64 GEMM of inner dimension at most _PANEL, and one
+    `_reduce` into [0, p); with residues in [0, p) every entry stays below
+    _PANEL (p-1)^2 + p < 2^53, at any size.  The transform's columns for the
+    rows without a pivot are still the identity, so only U is stored, never
+    [A | I]; the float array keeps every row at its original index, and a
+    row swap moves only `perm`.  A matrix of at most _PANEL columns is one
+    panel, all on int64.
     """
     m, k = A.shape
-    M = np.zeros((m, k + m), dtype=A.dtype)
-    M[:, :k] = A % p
-    M[:, k:] = np.eye(m, dtype=A.dtype)
+    R = (A % p).astype(np.int64, copy=False)
+    perm = list(range(m))  # the original row at each position of the current order
+    # when there are later panels, [A | U] mod p transposed, in float64: one row
+    # per column of A and of U, and one column per row of A in its original order
+    F = None
+    if k > _PANEL:
+        F = np.zeros((k + min(m, k), m))
+        F[:k] = R.T
     cols: list[int] = []
     r = 0  # the pivots so far
-    for c in range(k):
-        col = M[r:, c]
-        col %= p
-        nz = col.nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        row = M[r, c:]
-        row %= p
-        row *= pow(int(row[0]), p - 2, p)
-        row %= p
-        f = M[:, c] % p
-        f[r] = 0
-        M[:, c:] -= f[:, None] * row
-        cols.append(c)
-        r += 1
-    C = M[:len(cols), k:] % p
-    rows = np.flatnonzero(C.any(axis=0))
-    return rows.tolist(), cols, C if len(rows) == m else C[:, rows]
+    Z = np.zeros((0, m), dtype=np.int64)
+    for c0 in range(0, k, _PANEL):
+        w = min(_PANEL, k - c0)
+        r0 = r
+        # the panel transposed, in the current row order, and below it Z transposed,
+        # one row per pivot the panel may find
+        M = np.zeros((w + min(w, m - r0), m), dtype=np.int64)
+        M[:w] = R.T if F is None else F[c0:c0 + w, perm]
+        for j in range(w):
+            f = M[j] % p
+            nz = f[r:].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            pivot = int(f[i])
+            if i != r:
+                M[:, r], M[:, i] = M[:, i], M[:, r].copy()
+                perm[r], perm[i] = perm[i], perm[r]
+                f[i] = f[r]
+            f[r] = 0
+            e = w + r - r0 + 1  # the panel's columns right of j, and Z's columns so far
+            M[e - 1, r] = 1  # the pivot row, itself in terms of the old pivot rows
+            row = M[j + 1:e, r]
+            row %= p
+            row *= pow(pivot, p - 2, p)
+            row %= p
+            M[j + 1:e] -= row[:, None] * f
+            cols.append(c0 + j)
+            r += 1
+            if r == m:
+                break
+        Z = M[w:w + r - r0] % p
+        if F is None or r == r0:
+            continue  # the only panel, whose Z is the whole transform, or a panel without pivots
+        # new = old + G old[pivot rows], with G = Z off the pivot rows and Z - I on
+        # them; transposed, the columns right of the panel and U's first r0 columns
+        # are one block of F's rows
+        G = np.empty(Z.shape)
+        G[:, perm] = Z
+        piv = perm[r0:r]
+        G[np.arange(r - r0), piv] = (Z[:, r0:r].diagonal() + (p - 1)) % p
+        X = F[c0 + w if r < m else k:k + r0]  # at rank m no later column is read again
+        X += X[:, piv] @ G
+        _reduce(X, p)
+        F[k + r0:k + r, perm] = Z
+        if r == m:
+            break
+    piv = perm[:r]
+    UT = Z[:, :r] if F is None else F[k:k + r, piv].astype(np.int64)
+    at = np.empty(m, dtype=np.intp)
+    at[piv] = np.arange(r)  # each pivot row's position, scattered, so no sort is needed
+    taken = np.zeros(m, dtype=bool)
+    taken[piv] = True
+    rows = np.flatnonzero(taken)
+    return rows.tolist(), cols, UT[at[rows]].T.astype(A.dtype, copy=False)
+
+
+def _reduce(X: np.ndarray, p: int) -> None:
+    """X mod p in place, for float64 integers 0 <= X < 2^53.
+
+    X - floor(X (1/p)) p, then one correction: the rounded quotient can be
+    one off either way (for p = 1048571 it often is), never more.
+    """
+    q = X * (1 / p)
+    np.floor(q, out=q)
+    q *= p
+    X -= q
+    X[X < 0] += p
+    X[X >= p] -= p
 
 
 def _primes():
@@ -185,23 +256,32 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tupl
     A is square, C = A^-1 mod the prime p, and B has k columns; all three
     share A's dtype.  Each step takes X = C (R mod p) mod p and
     R <- (R - A X) / p, an exact division and one product for every column,
-    so sum_i X_i p^i solves A W = B modulo p^i (Dixon 1982).  Columns are
-    reconstructed (Wang, Guy & Davenport 1982) after 2, 4, 8, ... steps and
-    at the cap `_lift_steps`, and a column is kept, and no longer lifted,
-    once its identity holds.  A column left at the cap means the kernel is
+    so sum_i X_i p^i solves A W = B modulo p^i (Dixon 1982).  Both products
+    go through `exact_matmul` under the bounds n (p-1)^2 and n max|A| (p-1),
+    on float64 copies of C and A made once per lift: up to LIFT_MAX_N the
+    first is always on the float64 tier.  Columns are reconstructed (Wang,
+    Guy & Davenport 1982) after 2, 4, 8, ... steps and at the cap
+    `_lift_steps`, and a column is kept, and no longer lifted, once its
+    identity holds.  A column left at the cap means the kernel is
     wrong: HardVerificationError.
     """
     n, k = B.shape
     a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
     steps = _lift_steps(n, a, beta, p)
+    # every entry of C (R mod p) is below n (p-1)^2, and of A X below n a (p-1)
+    c_bound, a_bound = n * (p - 1) ** 2, n * max(a, 1) * (p - 1)
+    C_float = A_float = None  # float copies for exact_matmul's float64 tier, made once
+    if A.dtype != object:
+        C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
+        A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
     sols: list = [None] * k
     left = list(range(k))  # the columns still lifted, their right-hand sides and expansions so far
     Bl, R, U = B, B, [[0] * n for _ in left]
     pk = 1
     attempt = 2
     for step in range(1, steps + 1):
-        X = C @ (R % p) % p
-        R = (R - A @ X) // p
+        X = exact_matmul(C, (R % p).T, c_bound, C_float) % p
+        R = (R - exact_matmul(A, X.T, a_bound, A_float)) // p
         U = [[ui + xi * pk for ui, xi in zip(u, x)] for u, x in zip(U, X.T.tolist())]
         pk *= p
         if step == attempt or step == steps:

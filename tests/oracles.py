@@ -11,7 +11,8 @@ agreement is meaningful.  Where a fast path kept the
 library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
 with one elimination mod p per system, the inverse mod p that gave up on a
-column without a pivot, the exact Bland simplex on its own
+column without a pivot, the elimination mod p on the whole of [A | I] one
+column at a time, the exact Bland simplex on its own
 list-of-Fractions tableau, the full-width simplex tableau, the battery as a list of `Measure`s with int64
 block products, JSON through the stdlib's indent=2 encoder, the game's basis
 pair as Fractions with one transport vector per certificate), the replaced
@@ -422,6 +423,41 @@ def eliminate_mod_outer(A: np.ndarray, p: int) -> tuple[list[int], list[int], np
         f[r] = 0
         M[:, c:] -= np.outer(f, row)
         cols.append(c)
+    C = M[:len(cols), k:] % p
+    rows = np.flatnonzero(C.any(axis=0))
+    return rows.tolist(), cols, C if len(rows) == m else C[:, rows]
+
+
+def eliminate_mod_int64(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """`curvature._eliminate_mod` as it was before it eliminated in column panels.
+
+    Gauss-Jordan on the whole of [A | I], one column at a time, in A's own
+    dtype; the panel kernel must give the same (rows, cols, C).
+    """
+    m, k = A.shape
+    M = np.zeros((m, k + m), dtype=A.dtype)
+    M[:, :k] = A % p
+    M[:, k:] = np.eye(m, dtype=A.dtype)
+    cols: list[int] = []
+    r = 0  # the pivots so far
+    for c in range(k):
+        col = M[r:, c]
+        col %= p
+        nz = col.nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        row = M[r, c:]
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        f = M[:, c] % p
+        f[r] = 0
+        M[:, c:] -= f[:, None] * row
+        cols.append(c)
+        r += 1
     C = M[:len(cols), k:] % p
     rows = np.flatnonzero(C.any(axis=0))
     return rows.tolist(), cols, C if len(rows) == m else C[:, rows]

@@ -423,6 +423,12 @@ GOLDEN_CASES = [
 ] + [
     # reports with a unique w > 0, written before its game was certified from w
     ("report", spec, 0) for spec in ("cycle:39", "complete:40")
+] + [
+    # exact solves over several column panels, written before the elimination
+    # mod p ran in panels: unique and signed (verify-mid's largest draw), and
+    # nullity 99 twice
+    ("curvature", spec, seed) for spec, seed in [("gnp:120,1/12", 1943460723), ("cycle:200", 0),
+                                                 ("grid:10,12", 0)]
 ]
 
 

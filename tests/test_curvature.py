@@ -28,9 +28,11 @@ from graphcurv import (
     transitive_oracle,
 )
 from graphcurv import curvature
-from graphcurv.curvature import _eliminate_mod, solve_exact
+from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, solve_exact
+from graphcurv.rationals import FLOAT_EXACT_MAX
 from oracles import (
     bareiss_solve,
+    eliminate_mod_int64,
     eliminate_mod_outer,
     inverse_mod,
     solve_curvature_float_copied,
@@ -38,6 +40,11 @@ from oracles import (
     solve_system_fraction,
     solve_system_fraction_lstsq,
 )
+
+
+# the panel kernel's whole exactness argument: every GEMM has inner dimension
+# at most _PANEL over residues in [0, p), plus one residue
+assert _PANEL * (LIFT_PRIME - 1) ** 2 + LIFT_PRIME < FLOAT_EXACT_MAX
 
 
 def solved(g):
@@ -353,7 +360,8 @@ class TestCertifiedRankProfile:
             return [q for q in range(hi, max(lo, 2) - 1, -1) if not composite[q - lo]]
 
         top = curvature.LIFT_PRIME
-        expected = descending_primes(top - 2000, 2**25)
+        # LIFT_PRIME is the largest prime below the power of two above it
+        expected = descending_primes(top - 2000, 2**top.bit_length())
         assert expected[0] == top
         assert list(itertools.islice(curvature._primes(), len(expected))) == expected
         # every prime is found, down to 2
@@ -419,7 +427,7 @@ class TestEliminateMod:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda m: st.integers(1, 7).flatmap(lambda k: st.lists(
         st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=m, max_size=m))),
-        st.sampled_from([2, 3, 7, 33554393]))
+        st.sampled_from([2, 3, 7, curvature.LIFT_PRIME]))
     def test_rank_deficient_blocks_are_inverted(self, A, p):
         A = np.array(A, dtype=np.int64)
         rows, cols, C = _eliminate_mod(A, p)
@@ -429,6 +437,99 @@ class TestEliminateMod:
         # cols is the rank profile mod p: each leading block of columns has the rank it counts
         assert [sum(c < k for c in cols) for k in range(1, A.shape[1] + 1)] == [
             _rank_mod(A[:, :k], p) for k in range(1, A.shape[1] + 1)]
+
+
+def _panel_cases():
+    """Matrices that put the panel kernel's boundaries in play, by name, as functions of p."""
+    b = _PANEL
+    D = apsp(gnp(3 * b, Fraction(1, 10), 11)[0]).entries  # full rank mod LIFT_PRIME
+
+    def zero_block(p):
+        # the first panel finds its pivots only below row b + 5, so its swaps move
+        # rows whose later columns the following panels read
+        A = D[:, :2 * b + 1].copy()
+        A[:b + 5, :b] = 0
+        return A
+
+    def zero_panel(p):
+        A = D[:, :3 * b].copy()
+        A[:, b:2 * b] = 0  # the second panel has no pivot
+        return A
+
+    cases = {f"tall k={k}": (lambda p, k=k: D[:, :k]) for k in (b - 1, b, b + 1, 2 * b, 2 * b + 1)}
+    cases["wide k=b-1"] = lambda p: D[:b // 2, :b - 1]  # rank m within the only panel
+    cases.update({f"wide k={k}": (lambda p, k=k: D[:2 * b - 1, :k]) for k in (2 * b, 2 * b + 1, 3 * b)})
+    cases.update({
+        # rank m = 3b/2 is reached in the middle of the second panel
+        "rank m mid-panel": lambda p: D[:b + b // 2, :2 * b + 1],
+        "zero leading block": zero_block,
+        "zero panel": zero_panel,
+        "all p-1": lambda p: np.full((2 * b + 1, 2 * b + 1), p - 1, dtype=np.int64),
+        # p - 1 off the diagonal and 0 on it: -(J - I), which has full rank mod most p
+        "p-1 off the diagonal": lambda p: (p - 1) * (1 - np.eye(2 * b + 1, dtype=np.int64)),
+    })
+    return cases
+
+
+PANEL_CASES = _panel_cases()
+
+
+class TestPanelKernel:
+    """`_eliminate_mod` in column panels against the int64 kernel it replaced."""
+
+    @staticmethod
+    def assert_matches(A, p):
+        rows, cols, C = _eliminate_mod(A, p)
+        expected = eliminate_mod_int64(A, p)
+        assert (rows, cols) == expected[:2]
+        assert C.dtype == A.dtype and np.array_equal(C, expected[2])
+        block = (A[np.ix_(rows, cols)] % p).astype(np.int64)
+        assert np.array_equal(C, inverse_mod(block, p))
+        return rows, cols
+
+    @pytest.mark.parametrize("p", [2, 3, 7, LIFT_PRIME])
+    @pytest.mark.parametrize("case", sorted(PANEL_CASES))
+    def test_matches_int64_kernel(self, case, p):
+        A = PANEL_CASES[case](p)
+        rows, cols = self.assert_matches(A, p)
+        if case == "rank m mid-panel" and p == LIFT_PRIME:
+            assert len(rows) == len(A) and _PANEL < cols[-1] < 2 * _PANEL
+        if case == "zero panel":
+            assert not any(_PANEL <= c < 2 * _PANEL for c in cols)
+
+    @pytest.mark.parametrize("p", [7, LIFT_PRIME])
+    def test_object_entries_beyond_int64(self, p):
+        # reduced mod p first, then the same kernel; C comes back as Python ints
+        D = apsp(gnp(_PANEL + 1, Fraction(1, 4), 2)[0]).entries
+        A = D.astype(object) * 2**64 + D
+        assert abs(A).max() >= 2**63
+        self.assert_matches(A, p)
+        assert type(_eliminate_mod(A, p)[2][0, 0]) is int
+
+    @pytest.mark.parametrize("p", [7, 65521, 1048571, LIFT_PRIME])
+    def test_reduce_near_multiples_of_p(self, p):
+        # x = q p + r up to 2^53: the rounded quotient misses by one for many such x
+        # at p = 1048571, the second prime `_primes` yields, and 65521
+        q = np.random.default_rng(p).integers(0, (FLOAT_EXACT_MAX - p) // p, 20000)
+        x = (q[:, None] * p + np.array([0, 1, p - 2, p - 1])).ravel()
+        X = x.astype(np.float64)
+        curvature._reduce(X, p)
+        assert np.array_equal(X, x % p)
+
+    def test_single_panel_runs_no_float_arithmetic(self, monkeypatch):
+        # k <= _PANEL columns: the float64 array of later panels is never made, so
+        # no GEMM runs, as in the int64 kernel
+        D = apsp(gnp(_PANEL, Fraction(1, 4), 3)[0]).entries
+        expected = eliminate_mod_int64(D, LIFT_PRIME)
+        zeros = np.zeros
+
+        def no_float_zeros(shape, dtype=float):
+            assert dtype is not float, "a float64 array was made"
+            return zeros(shape, dtype)
+
+        monkeypatch.setattr(np, "zeros", no_float_zeros)
+        rows, cols, C = _eliminate_mod(D, LIFT_PRIME)
+        assert (rows, cols) == expected[:2] and np.array_equal(C, expected[2])
 
 
 class TestDixonLifting:
@@ -468,9 +569,9 @@ class TestDixonLifting:
         assert [Fraction(x, den) for x in num] == [Fraction(x, b_den) for x in b_num]
 
     def test_early_candidate_is_certified_before_it_is_returned(self):
-        # w = beta / a needs about 72 bits of p-adic digits; two steps give
-        # only 50, yet reconstruction already finds a (wrong) small fraction
-        a, beta = 2**36 + 1, 2**36 - 17
+        # w = beta / a needs about 60 bits of p-adic digits; two steps give
+        # only 40, yet reconstruction already finds a (wrong) small fraction
+        a, beta = 2**30 + 1, 2**30 - 1
         p = curvature.LIFT_PRIME
         early = curvature._reconstruct([beta * pow(a, -1, p * p) % (p * p)], p * p)
         assert early is not None and Fraction(early[0][0], early[1]) != Fraction(beta, a)
@@ -537,11 +638,11 @@ class TestDixonLifting:
     def test_int64_guard(self, monkeypatch):
         # beyond the guard an int64 residual could overflow, so the lift runs on Python ints
         dtypes = self.spy_dtypes(monkeypatch)
-        A = np.array([[2**40]], dtype=np.int64)
-        assert solve_exact(A, [1]) == ([0], [1], 2**40)
-        assert solve_exact(A // 2**10, [1]) == ([0], [1], 2**30)
-        # rank deficient: the free column of 2^41 joins the lift's right-hand side
-        assert solve_exact(np.array([[2**40, 2**41], [1, 2]], dtype=np.int64), [2**40, 1]) == (
+        A = np.array([[2**42]], dtype=np.int64)
+        assert solve_exact(A, [1]) == ([0], [1], 2**42)
+        assert solve_exact(A // 2**10, [1]) == ([0], [1], 2**32)
+        # rank deficient: the free column of 2^43 joins the lift's right-hand side
+        assert solve_exact(np.array([[2**42, 2**43], [1, 2]], dtype=np.int64), [2**42, 1]) == (
             [0], [1, 0], 1)
         assert dtypes == [object, np.int64, object]
 

@@ -12,9 +12,9 @@ which turns each block of rows into text from a per-value table of
 cell-width words plus one constant tail per row, so no format builds the
 n^2 Python ints of the matrix.
 
-`verify` and `report` write one record per battery measure straight from
-the reduced integer arrays of the `VerificationReport`: "p/q" text and
-float64 division, with no `Fraction` or `MeasureRecord` per measure.
+Every exact vector (w, both strategies, the witness and the verify records)
+goes out from its integer numerators and denominator through one writer,
+`_ratio_columns`, with no `Fraction` or `MeasureRecord` per entry.
 
 Every JSON document is in the layout of json.dumps with indent=2, byte for
 byte, and is written by one writer, `_write_json`, with one write.  The
@@ -33,7 +33,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -56,7 +55,7 @@ from .errors import (
 from .game import GameSolution, game_value, game_vs_curvature, search_lower_violation
 from .graphs import Graph, parse_edge_list, parse_generator_spec, serialize
 from .metric import DistanceMatrix, apsp, eccentricities, row_sums
-from .rationals import FLOAT_EXACT_MAX, rational_str
+from .rationals import FLOAT_EXACT_MAX, INT64_MAX, rational_str
 from .verifier import measure_battery, verify_minimax
 
 EXIT_OK = 0
@@ -294,9 +293,8 @@ def _curvature_doc(D: DistanceMatrix, sol: CurvatureSolution) -> dict:
         "warnings": list(sol.warnings),
     }
     if sol.status is not SolveStatus.INCONSISTENT:
+        doc["w"], doc["w_float"] = _ratio_columns(sol.num, sol.den)
         doc.update({
-            "w": [rational_str(x) for x in sol.w],
-            "w_float": [float(x) for x in sol.w],
             "l1_norm": rational_str(sol.l1_norm),
             "l1_norm_float": float(sol.l1_norm),
             "bound_K": rational_str(sol.bound_K),
@@ -332,8 +330,8 @@ def _cmd_curvature(args) -> int:
         raise InconsistentSystemError(f"D w = n 1 has no solution for this graph (n={g.n})")
     if args.format == "csv":
         print("vertex,w,w_float")
-        for i, x in enumerate(sol.w):
-            print(f"{i},{rational_str(x)},{float(x)!r}")
+        for i, (s, f) in enumerate(zip(*_ratio_columns(sol.num, sol.den))):
+            print(f"{i},{s},{f!r}")
         return EXIT_OK
     doc = {"command": "curvature", "input": args.input, "n": g.n, "m": g.m, "mode": "exact"}
     doc.update(_curvature_doc(D, sol))
@@ -363,7 +361,7 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
     if not sol.nonneg and sol.status is not SolveStatus.INCONSISTENT:
         found = search_lower_violation(D, sol, gsol)
         if found is not None:
-            witness = [rational_str(x) for x in found.p]
+            witness = _ratio_columns(found.q, found.den)[0]
     checked = report.measures_checked
     flags = (report.lower_holds, report.upper_holds, report.lower_tight, report.upper_tight)
     return {
@@ -394,17 +392,22 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
     }
 
 
-def _ratio_columns(num: np.ndarray, den: np.ndarray) -> tuple[list[str], list[float]]:
-    """The "p/q" text and the float of each reduced ratio num[i] / den[i].
+def _ratio_columns(num, den) -> tuple[list[str], list[float]]:
+    """The "p/q" text and the float of each num[i] / den (or den[i]), in lowest terms.
 
-    When num and den are at most FLOAT_EXACT_MAX both convert to float64
-    exactly, and one correctly rounded division gives float(Fraction(num, den)).
+    Reduced on int64 (Python ints past INT64_MAX) and divided in float64 when
+    every |num|, den <= FLOAT_EXACT_MAX, else as ints: both round correctly.
     """
-    nums, dens = num.tolist(), den.tolist()
-    text = [f"{p}/{q}" for p, q in zip(nums, dens)]
-    if max(nums + dens, default=0) <= FLOAT_EXACT_MAX:
-        return text, (num.astype(np.float64) / den.astype(np.float64)).tolist()
-    return text, [float(Fraction(p, q)) for p, q in zip(nums, dens)]
+    num, den = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (num, den))
+    top = max(-int(num.min(initial=0)), int(num.max(initial=0)), int(den.max()))
+    p, q = (x.astype(np.int64 if top <= INT64_MAX else object) for x in (num, den))
+    g = np.gcd(p, q)
+    p, q = p // g, q // g
+    nums, dens = p.tolist(), q.tolist()
+    text = [f"{a}/{b}" for a, b in zip(nums, dens)]
+    if top <= FLOAT_EXACT_MAX:
+        return text, (p.astype(np.float64) / q.astype(np.float64)).tolist()
+    return text, [a / b for a, b in zip(nums, dens)]
 
 
 def _cmd_verify(args) -> int:
@@ -433,8 +436,8 @@ def _game_doc(D: DistanceMatrix, sol: CurvatureSolution | None, gsol: GameSoluti
     doc = {
         "value": rational_str(gsol.value),
         "value_float": float(gsol.value),
-        "maximin_strategy": [rational_str(x) for x in gsol.maximin_strategy.p],
-        "minimax_strategy": [rational_str(x) for x in gsol.minimax_strategy.p],
+        "maximin_strategy": _ratio_columns(gsol.maximin_strategy.q, gsol.maximin_strategy.den)[0],
+        "minimax_strategy": _ratio_columns(gsol.minimax_strategy.q, gsol.minimax_strategy.den)[0],
         # min(D P) - value and max(D^T Q) - value: game_value returns only
         # after both certificates close exactly, so both residues are zero
         "certificate_residues": {"maximin": "0/1", "minimax": "0/1"},

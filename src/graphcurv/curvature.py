@@ -49,22 +49,29 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class CurvatureSolution:
-    """Outcome of solving D w = n 1 exactly.
+    """Outcome of solving D w = n 1 exactly: w = num / den.
 
-    For underdetermined systems w is the particular solution with all free
-    variables set to zero; its l1 norm (and hence K) is then not canonical,
-    which every consumer must surface as a warning.
+    num (None when inconsistent) and its least common denominator den are as
+    `solve_exact` certified them.  For underdetermined systems w is the
+    particular solution with free variables zero; its l1 norm (and hence K)
+    is then not canonical, which every consumer must surface as a warning.
     """
 
     status: SolveStatus
     n: int
     nullity: int = 0
-    w: tuple[Fraction, ...] | None = None
+    num: tuple[int, ...] | None = None
+    den: int = 1
     l1_norm: Fraction | None = None
     bound_K: Fraction | None = None
     min_entry: Fraction | None = None
     nonneg: bool = False
     warnings: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def w(self) -> tuple[Fraction, ...] | None:
+        """num / den as rationals, or None for an inconsistent system."""
+        return None if self.num is None else tuple(Fraction(x, self.den) for x in self.num)
 
 
 @dataclass(frozen=True)
@@ -375,7 +382,7 @@ def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
         status=SolveStatus.UNIQUE if rank == n else SolveStatus.UNDERDETERMINED,
         n=n,
         nullity=n - rank,
-        w=tuple(Fraction(x, den) for x in num),
+        num=tuple(num), den=den,
         l1_norm=l1,
         bound_K=n / l1,
         min_entry=Fraction(min(num), den),
@@ -385,7 +392,9 @@ def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:
 
 
 def curvature_bound(sol: CurvatureSolution, n: int) -> Fraction:
-    """K = n / ||w||_1, exactly."""
+    """K = n / ||w||_1, exactly, for n = sol.n."""
+    if n != sol.n:
+        raise ValueError(f"n = {n} does not match the solution's n = {sol.n}")
     if sol.status is SolveStatus.INCONSISTENT:
         raise InconsistentSystemError("no curvature vector exists for this graph")
     if sol.l1_norm == 0:

@@ -13,10 +13,10 @@ it, so that strategy is a lower-bound witness (A > K) exactly when value > K
 
 The solve is exact at close to float cost, in the manner of QSopt_ex
 (Applegate, Cook, Dash and Espinoza 2007):
-  0. given `solve_curvature(D)` with a unique w = num / den > 0, y = pi =
-     num / (n den + sum(num)) is a primal/dual pair on the basis of all n
-     y columns, since M num = (n den + sum(num)) 1 for M = D + 1 1^T; when
-     it passes the checks of step 2, uniqueness included, no simplex runs;
+  0. given `solve_curvature(D)` with a unique w = num / den > 0, its num and
+     den give y = pi = num / (n den + sum(num)), a primal/dual pair on all n
+     y columns as M num = (n den + sum(num)) 1 for M = D + 1 1^T; when it
+     passes the checks of step 2, uniqueness included, no simplex runs;
   1. a float64 simplex priced by steepest edge (Goldfarb and Reid 1977),
      which needs 10-60x fewer pivots than Bland's rule on gnp games, yields
      its final basis when that tableau looks nondegenerate;
@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -96,9 +95,8 @@ def game_value(D: DistanceMatrix, curvature: CurvatureSolution | None = None) ->
         raise ValueError("game needs at least one vertex")
     if (curvature is not None and curvature.status is SolveStatus.UNIQUE
             and curvature.min_entry > 0):
-        den = lcm(*(x.denominator for x in curvature.w))
-        num = [x.numerator * (den // x.denominator) for x in curvature.w]
-        pair = (num, n * den + sum(num))  # M num = (n den + sum(num)) 1
+        num = list(curvature.num)  # M num = (n den + sum(num)) 1
+        pair = (num, n * curvature.den + sum(num))
         try:
             return _certified(D, pair, pair, list(range(n)))
         except HardVerificationError:
@@ -218,12 +216,12 @@ def search_lower_violation(
 
     The witness is the game's maximin strategy, whose A equals the value
     (`game_value` certifies that), so it exists exactly when value > K.
-    `game` is solved from D when not given.  For non-negative w the lower
-    bound rules a witness out, so value > K is a hard error.
+    `game` is solved as game_value(D, sol) when not given.  For non-negative
+    w the lower bound rules a witness out, so value > K is a hard error.
     """
     K = curvature_bound(sol, D.n)
     if game is None:
-        game = game_value(D)
+        game = game_value(D, sol)
     if game.value <= K:
         return None
     if sol.nonneg:

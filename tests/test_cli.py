@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -229,7 +230,7 @@ class TestVerify:
         assert doc["summary"]["measures_checked"] == 4 + 1 + 6
 
     def test_records_from_ratios_beyond_float(self, monkeypatch):
-        # a numerator and denominator above 2^53 take float(Fraction) per record
+        # a numerator and denominator above 2^53 take the exact fallback per record
         D = apsp(path(6))
         sol = graphcurv.solve_curvature(D)
         tiny = Fraction(1, 2 ** 70 + 1)
@@ -250,6 +251,60 @@ class TestVerify:
     def test_ratio_floats_equal_fraction_floats(self, num, den):
         columns = cli._ratio_columns(np.array([num, 0], dtype=object), np.array([den, 1], dtype=object))
         assert columns == ([f"{num}/{den}", "0/1"], [float(Fraction(num, den)), 0.0])
+
+
+# numerators and denominators at the edges of _ratio_columns' tiers: float64
+# up to 2^53, int64 up to 2^63 - 1, Python ints beyond
+EDGE_NUMS = [0, 1, -1, 6, -6, *(s * x for x in (2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63,
+                                                2 ** 64 + 3, 3 ** 50) for s in (1, -1))]
+EDGE_DENS = [1, 3, 4, 2 ** 53 + 1, 2 ** 70]
+
+
+def fraction_columns(nums, dens) -> tuple[list[str], list[float]]:
+    ratios = [Fraction(p, q) for p, q in zip(nums, dens)]
+    return [graphcurv.rational_str(x) for x in ratios], [float(x) for x in ratios]
+
+
+class TestRatioColumns:
+    @pytest.mark.parametrize("den", EDGE_DENS)
+    def test_edges_over_one_den(self, den):
+        expected = fraction_columns(EDGE_NUMS, [den] * len(EDGE_NUMS))
+        assert cli._ratio_columns(EDGE_NUMS, den) == expected
+        assert cli._ratio_columns(tuple(EDGE_NUMS), den) == expected
+
+    def test_edges_over_a_den_per_entry(self):
+        nums, dens = zip(*itertools.product(EDGE_NUMS, EDGE_DENS))
+        expected = fraction_columns(nums, dens)
+        assert cli._ratio_columns(np.array(nums, dtype=object), np.array(dens, dtype=object)) == expected
+        small = [(p, q) for p, q in zip(nums, dens) if max(abs(p), q) < 2 ** 63]
+        nums, dens = (np.array(c, dtype=np.int64) for c in zip(*small))
+        assert cli._ratio_columns(nums, dens) == fraction_columns(nums.tolist(), dens.tolist())
+
+    def test_unreduced_pairs_print_in_lowest_terms(self):
+        assert cli._ratio_columns([6, -6, 0, 4], 4) == (["3/2", "-3/2", "0/1", "1/1"],
+                                                         [1.5, -1.5, 0.0, 1.0])
+        assert cli._ratio_columns(np.array([6, 10]), np.array([4, 15])) == (["3/2", "2/3"], [1.5, 2 / 3])
+
+    def test_negative_numerator_beyond_float_is_exact(self):
+        # float64 rounds -(2^53 + 1) to -2^53, and a float64 division by 7 then
+        # misses the correctly rounded quotient by 1/4
+        num = -(2 ** 53 + 1)
+        assert float(num) / 7 != float(Fraction(num, 7))
+        assert cli._ratio_columns([num], 7) == ([f"{num}/7"], [float(Fraction(num, 7))])
+
+    @given(st.lists(st.integers(-2 ** 54, 2 ** 54) | st.integers(-2 ** 80, 2 ** 80), min_size=1,
+                    max_size=6),
+           st.integers(1, 2 ** 54) | st.integers(1, 2 ** 80))
+    def test_one_den_matches_fractions(self, nums, den):
+        assert cli._ratio_columns(nums, den) == fraction_columns(nums, [den] * len(nums))
+
+    @given(st.lists(st.tuples(st.integers(-2 ** 54, 2 ** 54) | st.integers(-2 ** 80, 2 ** 80),
+                              st.integers(1, 2 ** 54) | st.integers(1, 2 ** 80)),
+                    min_size=1, max_size=6))
+    def test_den_per_entry_matches_fractions(self, pairs):
+        nums, dens = zip(*pairs)
+        columns = cli._ratio_columns(np.array(nums, dtype=object), np.array(dens, dtype=object))
+        assert columns == fraction_columns(nums, dens)
 
 
 # spec -> tests/data/verify_<spec>_seed1.json with --samples 300, the output of
@@ -439,6 +494,20 @@ def test_output_matches_golden(capsys, command, spec, seed):
     code, out, err = run(capsys, command, "--input", spec, "--seed", str(seed), "--format", "json")
     assert code == 0, err
     assert out == expected
+
+
+# spec, seed -> tests/data/curvature_<spec>_seed<seed>.{csv,txt}, written before w
+# was carried as integer numerators: signed and small, and past 2^53
+CURVATURE_TEXT_GOLDENS = [("star:5", 0), ("gnp:120,1/12", 1943460723)]
+
+
+@pytest.mark.parametrize("spec,seed", CURVATURE_TEXT_GOLDENS)
+@pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("table", "txt")])
+def test_curvature_text_matches_golden(capsys, spec, seed, fmt, ext):
+    name = f"curvature_{spec.replace(':', '_').replace(',', '_').replace('/', '-')}_seed{seed}.{ext}"
+    expected = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    assert run(capsys, "curvature", "--input", spec, "--seed", str(seed),
+               "--format", fmt) == (0, expected, "")
 
 
 @pytest.mark.parametrize("command", ["report", "game"])

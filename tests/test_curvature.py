@@ -109,6 +109,13 @@ class TestStatusClassification:
         with pytest.raises(InconsistentSystemError):
             curvature_bound(sol, 1)
 
+    def test_bound_rejects_another_n(self):
+        # K of path(3) is 1; with n = 4 it would read 4/3
+        _, sol = solved(path(3))
+        assert curvature_bound(sol, 3) == 1
+        with pytest.raises(ValueError, match="n = 4 does not match"):
+            curvature_bound(sol, 4)
+
     def test_even_cycles_underdetermined(self):
         for n, nullity in [(4, 1), (6, 2), (8, 3)]:
             _, sol = solved(cycle(n))

@@ -707,22 +707,30 @@ class TestPositiveCurvature:
                 assert game_value(D, sol) == expected, spec
                 assert game_vs_curvature(D, sol).value == expected.value == sol.bound_K, spec
 
+    @pytest.mark.parametrize("spec", ["cycle:39", "complete:40"])
+    def test_lower_violation_search_runs_no_simplex(self, spec, monkeypatch):
+        # w > 0: value = K, and the game comes from the solution passed in
+        D = apsp(parse_generator_spec(spec))
+        sol = solve_curvature(D)
+        no_simplex(monkeypatch)
+        assert game.search_lower_violation(D, sol) is None
+
     @staticmethod
-    def forged(sol, w):
-        l1 = sum(map(abs, w))
-        return dataclasses.replace(sol, w=tuple(w), l1_norm=l1, bound_K=sol.n / l1,
-                                   min_entry=min(w))
+    def forged(sol, num, den):
+        l1 = Fraction(sum(map(abs, num)), den)
+        return dataclasses.replace(sol, num=tuple(num), den=den, l1_norm=l1, bound_K=sol.n / l1,
+                                   min_entry=Fraction(min(num), den))
 
     @pytest.mark.parametrize("forge", [
-        lambda w: [w[0] + Fraction(1, 7), *w[1:]],  # one entry perturbed
-        lambda w: [2 * x for x in w],                # D w = 2 n 1
-        lambda w: [x / 3 for x in w],                # D w = n/3 1
+        lambda num, den: ([7 * num[0] + den, *(7 * x for x in num[1:])], 7 * den),  # w[0] + 1/7
+        lambda num, den: ([2 * x for x in num], den),  # D w = 2 n 1
+        lambda num, den: (num, 3 * den),               # D w = n/3 1
     ], ids=["perturbed", "doubled", "third"])
     @pytest.mark.parametrize("spec", ["cycle:39", "complete:40", "cycle:5"])
     def test_forged_curvature_falls_through(self, spec, forge, monkeypatch):
         D = apsp(parse_generator_spec(spec))
         sol = solve_curvature(D)
-        forged = self.forged(sol, forge(list(sol.w)))
+        forged = self.forged(sol, *forge(list(sol.num), sol.den))
         assert forged.min_entry > 0 and forged.w != sol.w
         expected = game_value(D)
         runs = spy_runs(monkeypatch)

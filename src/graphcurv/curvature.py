@@ -243,18 +243,18 @@ def _reconstruct(u: list[int], m: int) -> tuple[list[int], int] | None:
     return num, den
 
 
-def _holds(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]], bound: int) -> list[bool]:
-    """For each column j of B, whether A num_j == den_j B[:, j] exactly, for sols[j] = (num_j, den_j).
+def _holds(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]], bound: int) -> bool:
+    """Whether A num_j == den_j B[:, j] exactly for every column j of B (True for none).
 
-    `bound` is at least every |entry| of A and B, so cols(A) bound
-    max(|num_j|, den_j) bounds every partial sum for `exact_matmul`.
+    sols[j] = (num_j, den_j), and `bound` is at least every |entry| of A and
+    B, so cols(A) bound max(|num_j|, den_j) bounds every partial sum.
     """
     if not sols:
-        return []
+        return True
     nums, dens = zip(*sols)
     big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
     N = exact_matmul(A, nums, big * max(1, bound) * max(1, A.shape[1]))
-    return (N == B * np.array(dens, dtype=N.dtype)).all(0).tolist()
+    return bool((N == B * np.array(dens, dtype=N.dtype)).all())
 
 
 def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
@@ -266,10 +266,11 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tupl
     so sum_i X_i p^i solves A W = B modulo p^i (Dixon 1982).  Both products
     go through `exact_matmul` under the bounds n (p-1)^2 and n max|A| (p-1),
     on float64 copies of C and A made once per lift: up to LIFT_MAX_N the
-    first is always on the float64 tier.  Columns are reconstructed (Wang,
-    Guy & Davenport 1982) after 2, 4, 8, ... steps and at the cap
-    `_lift_steps`, and a column is kept, and no longer lifted, once its
-    identity holds.  A column left at the cap means the kernel is
+    first is always on the float64 tier.  Every column is lifted at every
+    step, since by Cramer's rule all share the denominator det A and one
+    Hadamard cap.  All are reconstructed (Wang, Guy & Davenport 1982) after
+    2, 4, 8, ... steps and at the cap `_lift_steps`, and returned once every
+    column's identity holds.  Failing that at the cap means the kernel is
     wrong: HardVerificationError.
     """
     n, k = B.shape
@@ -281,9 +282,7 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tupl
     if A.dtype != object:
         C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
         A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
-    sols: list = [None] * k
-    left = list(range(k))  # the columns still lifted, their right-hand sides and expansions so far
-    Bl, R, U = B, B, [[0] * n for _ in left]
+    R, U = B, [[0] * n for _ in range(k)]  # the residual and each column's expansion so far
     pk = 1
     attempt = 2
     for step in range(1, steps + 1):
@@ -293,16 +292,9 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tupl
         pk *= p
         if step == attempt or step == steps:
             attempt *= 2
-            cands = [_reconstruct(u, pk) for u in U]
-            found = [t for t, cand in enumerate(cands) if cand is not None]
-            sub = Bl if len(found) == len(left) else Bl[:, found]
-            for t, ok in zip(found, _holds(A, sub, [cands[t] for t in found], max(a, beta))):
-                if ok:
-                    sols[left[t]] = cands[t]
-            keep = [t for t, j in enumerate(left) if sols[j] is None]
-            if not keep:
+            sols = [_reconstruct(u, pk) for u in U]
+            if None not in sols and _holds(A, B, sols, max(a, beta)):
                 return sols
-            left, Bl, R, U = [left[t] for t in keep], Bl[:, keep], R[:, keep], [U[t] for t in keep]
     raise HardVerificationError(
         f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
 
@@ -341,10 +333,10 @@ def _certified_solve(
             continue
         other = sorted(set(range(m)) - set(rows))
         rest = A[np.ix_(other, cols)]
-        if not all(_holds(rest, A[np.ix_(other, free)], nulls, beta)):
+        if not _holds(rest, A[np.ix_(other, free)], nulls, beta):
             continue
         # the only candidate on the pivot rows must hold on the others too
-        if not _holds(rest, bvec[other, None], [(num, den)], beta)[0]:
+        if not _holds(rest, bvec[other, None], [(num, den)], beta):
             return cols, None, 1, (A, C, p)
         full = [0] * k
         for c, x in zip(cols, num):

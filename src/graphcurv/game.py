@@ -187,10 +187,10 @@ def game_vs_curvature(
 
     `sol` and `game` are solved from D when not given.
 
-    When w is non-negative the minimax sandwich forces value = K exactly, so
-    any difference is a hard error.  For signed w the upper bound still pins
-    K <= B for every P, and value > K is the expected reading of a
-    lower-bound failure; the observed relation is reported, not asserted.
+    K <= value for every w, and when w is non-negative the minimax sandwich
+    forces value = K exactly; anything else is a hard error (`_check_relation`).
+    For signed w, value > K is the expected reading of a lower-bound failure,
+    and value = K or not is reported, not asserted.
     """
     if sol is None:
         sol = solve_curvature(D)
@@ -198,13 +198,8 @@ def game_vs_curvature(
         raise ValueError(f"comparison needs a unique curvature solution, got {sol.status.value}")
     K = curvature_bound(sol, D.n)
     value = (game if game is not None else game_value(D, sol)).value
-    equal = value == K
-    if sol.nonneg and not equal:
-        raise HardVerificationError(
-            f"w is non-negative but game value {value} != K = {K}; "
-            "the von Neumann equivalence is violated"
-        )
-    return GameCurvatureComparison(value=value, K=K, equal=equal, nonneg=sol.nonneg)
+    _check_relation(value, K, sol.nonneg)
+    return GameCurvatureComparison(value=value, K=K, equal=value == K, nonneg=sol.nonneg)
 
 
 def search_lower_violation(
@@ -216,20 +211,31 @@ def search_lower_violation(
 
     The witness is the game's maximin strategy, whose A equals the value
     (`game_value` certifies that), so it exists exactly when value > K.
-    `game` is solved as game_value(D, sol) when not given.  For non-negative
-    w the lower bound rules a witness out, so value > K is a hard error.
+    `game` is solved as game_value(D, sol) when not given.  value < K, and
+    for non-negative w a witness, are hard errors (`_check_relation`).
     """
     K = curvature_bound(sol, D.n)
     if game is None:
         game = game_value(D, sol)
-    if game.value <= K:
-        return None
-    if sol.nonneg:
+    _check_relation(game.value, K, sol.nonneg)
+    return game.maximin_strategy if game.value > K else None
+
+
+def _check_relation(value: Fraction, K: Fraction, nonneg: bool) -> None:
+    """Raise HardVerificationError unless K <= value, with equality when w >= 0.
+
+    For every solution w and measure Q, n = w^T D Q <= ||w||_1 max_u (D Q)_u,
+    so K <= B(Q), which is the value at the minimax strategy; when w >= 0,
+    A(P) <= K for every P, the maximin strategy's A included.
+    """
+    if value < K:
         raise HardVerificationError(
-            f"game value {game.value} > K = {K} although min w >= 0: the maximin strategy "
-            "is a lower-bound witness; solver or verifier is wrong"
-        )
-    return game.maximin_strategy
+            f"game value {value} < K = {K}: the minimax strategy breaks K <= B(Q); "
+            "solver or verifier is wrong")
+    if nonneg and value > K:
+        raise HardVerificationError(
+            f"game value {value} > K = {K} although min w >= 0: the maximin strategy "
+            "is a lower-bound witness; solver or verifier is wrong")
 
 
 def _simplex_basis(M: np.ndarray, steepest: bool) -> list[int] | None:

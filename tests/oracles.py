@@ -12,7 +12,8 @@ library's arithmetic and changed only its memory use or its sharing of work
 (the upper-triangle gnp draw, the float LU on a copy, the game basis solved
 with one elimination mod p per system, the inverse mod p that gave up on a
 column without a pivot, the elimination mod p on the whole of [A | I] one
-column at a time, the exact Bland simplex on its own
+column at a time, the p-adic lift that stopped lifting each column once it
+was certified, the exact Bland simplex on its own
 list-of-Fractions tableau, the full-width simplex tableau, the battery as a list of `Measure`s with int64
 block products, JSON through the stdlib's indent=2 encoder, the game's basis
 pair as Fractions with one transport vector per certificate), the replaced
@@ -50,12 +51,13 @@ from graphcurv import (
     transport_vector,
     validate,
 )
-from graphcurv.curvature import FLOAT_PIVOT_FLOOR, _certified_solve, dixon_lift, solve_exact
+from graphcurv.curvature import (FLOAT_PIVOT_FLOOR, _certified_solve, _lift_steps, _reconstruct,
+                                 dixon_lift, solve_exact)
 from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL, GameSolution
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
-from graphcurv.rationals import INT64_MAX
+from graphcurv.rationals import FLOAT_EXACT_MAX, INT64_MAX, exact_matmul
 from graphcurv.verifier import BATTERY_PAIR_LIMIT
 
 _MASK = (1 << 64) - 1
@@ -461,6 +463,58 @@ def eliminate_mod_int64(A: np.ndarray, p: int) -> tuple[list[int], list[int], np
     C = M[:len(cols), k:] % p
     rows = np.flatnonzero(C.any(axis=0))
     return rows.tolist(), cols, C if len(rows) == m else C[:, rows]
+
+
+def holds_per_column(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]],
+                     bound: int) -> list[bool]:
+    """`curvature._holds` as it was when it answered column by column."""
+    if not sols:
+        return []
+    nums, dens = zip(*sols)
+    big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
+    N = exact_matmul(A, nums, big * max(1, bound) * max(1, A.shape[1]))
+    return (N == B * np.array(dens, dtype=N.dtype)).all(0).tolist()
+
+
+def dixon_lift_retiring(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
+    """`curvature.dixon_lift` as it was when a certified column stopped being lifted.
+
+    Each attempt certified the columns that reconstructed, and the rest went
+    on alone with their slices of R and of the expansions; the one-pass lift
+    must return the same solutions after the same steps.
+    """
+    n, k = B.shape
+    a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
+    steps = _lift_steps(n, a, beta, p)
+    c_bound, a_bound = n * (p - 1) ** 2, n * max(a, 1) * (p - 1)
+    C_float = A_float = None
+    if A.dtype != object:
+        C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
+        A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
+    sols: list = [None] * k
+    left = list(range(k))  # the columns still lifted, their right-hand sides and expansions so far
+    Bl, R, U = B, B, [[0] * n for _ in left]
+    pk = 1
+    attempt = 2
+    for step in range(1, steps + 1):
+        X = exact_matmul(C, (R % p).T, c_bound, C_float) % p
+        R = (R - exact_matmul(A, X.T, a_bound, A_float)) // p
+        U = [[ui + xi * pk for ui, xi in zip(u, x)] for u, x in zip(U, X.T.tolist())]
+        pk *= p
+        if step == attempt or step == steps:
+            attempt *= 2
+            cands = [_reconstruct(u, pk) for u in U]
+            found = [t for t, cand in enumerate(cands) if cand is not None]
+            sub = Bl if len(found) == len(left) else Bl[:, found]
+            for t, ok in zip(found, holds_per_column(A, sub, [cands[t] for t in found], max(a, beta))):
+                if ok:
+                    sols[left[t]] = cands[t]
+            keep = [t for t, j in enumerate(left) if sols[j] is None]
+            if not keep:
+                return sols
+            left, Bl, R, U = [left[t] for t in keep], Bl[:, keep], R[:, keep], [U[t] for t in keep]
+    raise HardVerificationError(
+        f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
 
 
 def solve_system_fraction_lstsq(D: np.ndarray, n: int) -> list[Fraction] | None:

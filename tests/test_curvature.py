@@ -6,7 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphcurv import (
     HardVerificationError,
@@ -28,8 +28,9 @@ from graphcurv import (
     transitive_oracle,
 )
 from graphcurv import curvature
-from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, solve_exact
+from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, _holds, dixon_lift, solve_exact
 from graphcurv.rationals import FLOAT_EXACT_MAX
+import oracles
 from oracles import (
     bareiss_solve,
     eliminate_mod_int64,
@@ -583,6 +584,71 @@ class TestDixonLifting:
         early = curvature._reconstruct([beta * pow(a, -1, p * p) % (p * p)], p * p)
         assert early is not None and Fraction(early[0][0], early[1]) != Fraction(beta, a)
         assert solve_exact(np.array([[a]], dtype=np.int64), [beta]) == ([0], [beta], a)
+
+    @staticmethod
+    def spy_moduli(monkeypatch, module=curvature):
+        moduli = []
+        reconstruct = module._reconstruct
+
+        def spy(u, m):
+            moduli.append(m)
+            return reconstruct(u, m)
+
+        monkeypatch.setattr(module, "_reconstruct", spy)
+        return moduli
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=2, max_size=5),
+        st.integers(0, 4), st.integers(0, 3))))
+    def test_one_pass_lift_matches_column_lifts(self, system):
+        A, columns, zero, scaled = system
+        n, k = len(A), len(columns)
+        # one zero column, and another scaled by 2^30 so that it needs more digits
+        zero %= k
+        columns[zero] = [0] * n
+        big = (zero + 1 + scaled % (k - 1)) % k
+        columns[big] = [x * 2**30 for x in columns[big]]
+        A = np.array(A, dtype=np.int64)
+        B = np.array(columns, dtype=np.int64).T
+        p = LIFT_PRIME
+        _, cols, C = _eliminate_mod(A, p)
+        assume(len(cols) == n)  # nonsingular mod p, so over Q too, and C = A^-1 mod p
+        with pytest.MonkeyPatch.context() as mp:
+            joint, retiring = self.spy_moduli(mp), self.spy_moduli(mp, oracles)
+            sols = dixon_lift(A, C, B, p)
+            assert sols == oracles.dixon_lift_retiring(A, C, B, p)
+        # the same attempts, so the same number of steps, as lifting until each column is certified
+        assert sorted(set(joint)) == sorted(set(retiring))
+        assert sols == [dixon_lift(A, C, B[:, [j]], p)[0] for j in range(k)]
+        for j, (num, den) in enumerate(sols):
+            status, _, x = solve_system_fraction(A.tolist(), B[:, j].tolist())
+            assert status is SolveStatus.UNIQUE
+            assert tuple(Fraction(v, den) for v in num) == x
+        assert sols[zero] == ([0] * n, 1)
+
+    def test_columns_are_returned_together(self, monkeypatch):
+        # the zero column is certified after two steps, beta / a only after
+        # four: its two-step candidate is wrong, so nothing is returned then
+        a, beta = 2**30 + 1, 2**30 - 1
+        p = LIFT_PRIME
+        moduli = self.spy_moduli(monkeypatch)
+        A = np.array([[a]], dtype=np.int64)
+        sols = dixon_lift(A, np.array([[pow(a, -1, p)]], dtype=np.int64), np.array([[0, beta]]), p)
+        assert sols == [([0], 1), ([beta], a)]
+        assert moduli == [p**2, p**2, p**4, p**4]
+
+    def test_holds_answers_for_every_column_at_once(self):
+        A = np.array([[2, 1], [1, 3]], dtype=np.int64)
+        B = np.array([[3, 5, 0], [4, 1, 0]], dtype=np.int64)
+        sols = [([1, 1], 1), ([14, -3], 5), ([0, 0], 1)]
+        assert _holds(A, B, sols, 5) is True
+        assert _holds(A, B[:, :0], [], 5) is True
+        for j in range(3):
+            wrong = list(sols)
+            wrong[j] = ([sols[j][0][0] + 1, sols[j][0][1]], sols[j][1])
+            assert _holds(A, B, wrong, 5) is False
 
     def test_uncertified_candidates_raise(self, monkeypatch):
         monkeypatch.setattr(curvature, "_reconstruct", lambda u, m: ([3, 1, 3], 2))

@@ -23,6 +23,7 @@ from graphcurv import (
     measure_uniform,
     parse_generator_spec,
     path,
+    search_lower_violation,
     solve_curvature,
     star,
     transitive_oracle,
@@ -135,6 +136,25 @@ class TestCurvatureComparison:
             found += 1
             assert game_vs_curvature(D, sol).equal, (g, seed)
         assert found == 50
+
+    def test_forged_value_below_K_is_hard_error(self):
+        # n = w^T D Q <= ||w||_1 max_u (D Q)_u, so K <= value whatever the signs of w
+        for g in (star(5), path(3)):
+            D = apsp(g)
+            sol = solve_curvature(D)
+            forged = dataclasses.replace(game_value(D), value=sol.bound_K - Fraction(1, 7))
+            for check in (game_vs_curvature, search_lower_violation):
+                with pytest.raises(HardVerificationError, match=r"< K = .*K <= B\(Q\)"):
+                    check(D, sol, forged)
+
+    def test_forged_value_above_K_for_nonneg_w_is_hard_error(self):
+        D = apsp(path(3))
+        sol = solve_curvature(D)
+        assert sol.status is SolveStatus.UNIQUE and sol.nonneg
+        forged = dataclasses.replace(game_value(D), value=sol.bound_K + 1)
+        for check in (game_vs_curvature, search_lower_violation):
+            with pytest.raises(HardVerificationError, match="lower-bound witness"):
+                check(D, sol, forged)
 
     def test_witness_link_on_stars(self):
         # when value > K the maximin strategy is itself a lower-bound witness

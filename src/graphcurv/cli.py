@@ -358,20 +358,19 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
     battery = measure_battery(D.n, samples=samples, seed=seed)
     report = verify_minimax(D, sol, battery)
     witness = None
-    if not sol.nonneg and sol.status is not SolveStatus.INCONSISTENT:
+    if not sol.nonneg:
         found = search_lower_violation(D, sol, gsol)
         if found is not None:
             witness = _ratio_columns(found.q, found.den)[0]
-    checked = report.measures_checked
     flags = (report.lower_holds, report.upper_holds, report.lower_tight, report.upper_tight)
     return {
         "seed": seed,
         "samples": samples,
-        "K": rational_str(report.K) if checked else None,
-        "K_float": float(report.K) if checked else None,
+        "K": rational_str(report.K),
+        "K_float": float(report.K),
         "nonneg": report.nonneg,
         "summary": {
-            "measures_checked": checked,
+            "measures_checked": report.measures_checked,
             "lower_failures": report.lower_failures,
             "upper_failures": report.upper_failures,
         },
@@ -432,7 +431,7 @@ def _render_verify_table(doc: dict) -> None:
         print(f"lower-bound witness: {doc['lower_violation_witness']}")
 
 
-def _game_doc(D: DistanceMatrix, sol: CurvatureSolution | None, gsol: GameSolution) -> dict:
+def _game_doc(D: DistanceMatrix, sol: CurvatureSolution, gsol: GameSolution) -> dict:
     doc = {
         "value": rational_str(gsol.value),
         "value_float": float(gsol.value),
@@ -443,7 +442,7 @@ def _game_doc(D: DistanceMatrix, sol: CurvatureSolution | None, gsol: GameSoluti
         "certificate_residues": {"maximin": "0/1", "minimax": "0/1"},
     }
     comparison = None
-    if sol is not None and sol.status is SolveStatus.UNIQUE:
+    if sol.status is SolveStatus.UNIQUE:
         cmp_rec = game_vs_curvature(D, sol, gsol)
         comparison = {
             "K": rational_str(cmp_rec.K),

@@ -102,28 +102,23 @@ def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
     _PANEL (p-1)^2 + p < 2^53, at any size.  The transform's columns for the
     rows without a pivot are still the identity, so only U is stored, never
     [A | I]; the float array keeps every row at its original index, and a
-    row swap moves only `perm`.  A matrix of at most _PANEL columns is one
-    panel, all on int64.
+    row swap moves only `perm`.
     """
     m, k = A.shape
-    R = (A % p).astype(np.int64, copy=False)
     perm = list(range(m))  # the original row at each position of the current order
-    # when there are later panels, [A | U] mod p transposed, in float64: one row
-    # per column of A and of U, and one column per row of A in its original order
-    F = None
-    if k > _PANEL:
-        F = np.zeros((k + min(m, k), m))
-        F[:k] = R.T
+    # [A | U] mod p transposed, in float64: one row per column of A and of U,
+    # and one column per row of A in its original order
+    F = np.zeros((k + min(m, k), m))
+    F[:k] = (A % p).T
     cols: list[int] = []
     r = 0  # the pivots so far
-    Z = np.zeros((0, m), dtype=np.int64)
     for c0 in range(0, k, _PANEL):
         w = min(_PANEL, k - c0)
         r0 = r
         # the panel transposed, in the current row order, and below it Z transposed,
         # one row per pivot the panel may find
         M = np.zeros((w + min(w, m - r0), m), dtype=np.int64)
-        M[:w] = R.T if F is None else F[c0:c0 + w, perm]
+        M[:w] = F[c0:c0 + w].take(perm, axis=1)
         for j in range(w):
             f = M[j] % p
             nz = f[r:].nonzero()[0]
@@ -145,32 +140,23 @@ def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
             M[j + 1:e] -= row[:, None] * f
             cols.append(c0 + j)
             r += 1
-            if r == m:
-                break
         Z = M[w:w + r - r0] % p
-        if F is None or r == r0:
-            continue  # the only panel, whose Z is the whole transform, or a panel without pivots
-        # new = old + G old[pivot rows], with G = Z off the pivot rows and Z - I on
-        # them; transposed, the columns right of the panel and U's first r0 columns
-        # are one block of F's rows
-        G = np.empty(Z.shape)
-        G[:, perm] = Z
-        piv = perm[r0:r]
-        G[np.arange(r - r0), piv] = (Z[:, r0:r].diagonal() + (p - 1)) % p
-        X = F[c0 + w if r < m else k:k + r0]  # at rank m no later column is read again
-        X += X[:, piv] @ G
-        _reduce(X, p)
+        # the columns right of the panel and U's first r0 columns, one block of F's
+        # rows: empty after the only panel
+        X = F[c0 + w:k + r0]
+        if r > r0 and X.size:
+            # new = old + G old[pivot rows], with G = Z off the pivot rows and Z - I on them
+            G = np.empty(Z.shape)
+            G[:, perm] = Z
+            piv = perm[r0:r]
+            G[np.arange(r - r0), piv] = (Z[:, r0:r].diagonal() + (p - 1)) % p
+            X += X[:, piv] @ G
+            _reduce(X, p)
         F[k + r0:k + r, perm] = Z
-        if r == m:
-            break
-    piv = perm[:r]
-    UT = Z[:, :r] if F is None else F[k:k + r, piv].astype(np.int64)
-    at = np.empty(m, dtype=np.intp)
-    at[piv] = np.arange(r)  # each pivot row's position, scattered, so no sort is needed
-    taken = np.zeros(m, dtype=bool)
-    taken[piv] = True
-    rows = np.flatnonzero(taken)
-    return rows.tolist(), cols, UT[at[rows]].T.astype(A.dtype, copy=False)
+    piv = np.array(perm[:r], dtype=np.intp)
+    order = np.argsort(piv)  # the pivots by ascending row
+    C = F[k:k + r, piv][order].T.astype(np.int64)
+    return piv[order].tolist(), cols, C.astype(A.dtype, copy=False)
 
 
 def _reduce(X: np.ndarray, p: int) -> None:
@@ -278,10 +264,9 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tupl
     steps = _lift_steps(n, a, beta, p)
     # every entry of C (R mod p) is below n (p-1)^2, and of A X below n a (p-1)
     c_bound, a_bound = n * (p - 1) ** 2, n * max(a, 1) * (p - 1)
-    C_float = A_float = None  # float copies for exact_matmul's float64 tier, made once
-    if A.dtype != object:
-        C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
-        A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
+    # float copies for exact_matmul's float64 tier, made once
+    C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
+    A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
     R, U = B, [[0] * n for _ in range(k)]  # the residual and each column's expansion so far
     pk = 1
     attempt = 2
@@ -421,7 +406,7 @@ def solve_curvature_float(D: DistanceMatrix) -> FloatSolution:
     residual = max(float(np.abs(D.entries[r:r + _RESIDUAL_ROWS].astype(np.float64) @ w
                                 - float(n)).max())
                    for r in range(0, n, _RESIDUAL_ROWS))
-    cond_hint = float(u_diag.min() / D.entries.max()) if n > 1 else 1.0  # D >= 0, so max = max |.|
+    cond_hint = float(u_diag.min() / D.entries.max())  # D >= 0, so max = max |.|
     return FloatSolution(w=w, residual_inf=residual, condition_hint=cond_hint)
 
 

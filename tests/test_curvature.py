@@ -524,20 +524,22 @@ class TestPanelKernel:
         curvature._reduce(X, p)
         assert np.array_equal(X, x % p)
 
-    def test_single_panel_runs_no_float_arithmetic(self, monkeypatch):
-        # k <= _PANEL columns: the float64 array of later panels is never made, so
-        # no GEMM runs, as in the int64 kernel
-        D = apsp(gnp(_PANEL, Fraction(1, 4), 3)[0]).entries
-        expected = eliminate_mod_int64(D, LIFT_PRIME)
-        zeros = np.zeros
-
-        def no_float_zeros(shape, dtype=float):
-            assert dtype is not float, "a float64 array was made"
-            return zeros(shape, dtype)
-
-        monkeypatch.setattr(np, "zeros", no_float_zeros)
-        rows, cols, C = _eliminate_mod(D, LIFT_PRIME)
-        assert (rows, cols) == expected[:2] and np.array_equal(C, expected[2])
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 2 * _PANEL + 1), k=st.integers(1, 2 * _PANEL + 1),
+           p=st.sampled_from([2, 3, 7, LIFT_PRIME]), spread=st.integers(1, 3),
+           zero_rows=st.tuples(st.integers(0, 2 * _PANEL), st.integers(0, _PANEL + 5)),
+           zero_cols=st.tuples(st.integers(0, 2 * _PANEL), st.integers(0, _PANEL + 5)),
+           as_object=st.sampled_from([False] * 7 + [True]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_int64_kernel_on_drawn_shapes(self, m, k, p, spread, zero_rows, zero_cols,
+                                                   as_object, seed):
+        # tall, square and wide shapes across the panel boundary; small entries and
+        # zero blocks leave rank deficits and panels without a pivot
+        A = np.random.default_rng(seed).integers(-spread, spread + 1, (m, k))
+        A[zero_rows[0]:sum(zero_rows)] = 0
+        A[:, zero_cols[0]:sum(zero_cols)] = 0
+        if as_object:  # now and then a matrix beyond int64, as the exact solve passes on
+            A = A.astype(object) * 2**64 + A
+        self.assert_matches(A, p)
 
 
 class TestDixonLifting:

@@ -294,6 +294,7 @@ def _certified_solve(
     prime, [b_I | A[I, F]] is lifted on A[I, J] for the pivot rows I, pivot
     columns J and free columns F.
     """
+    A = A.astype(np.int64, copy=False)  # distances come as uint8 or uint16; p needs more
     m, k = A.shape
     size = max(m, k)
     a = int(np.abs(A).max(initial=0))
@@ -382,10 +383,12 @@ def curvature_bound(sol: CurvatureSolution, n: int) -> Fraction:
 def solve_curvature_float(D: DistanceMatrix) -> FloatSolution:
     """Partial-pivoting LU in doubles; residual recomputed, never assumed.
 
-    LU factors a float copy of D in place, so only one n x n float array
-    exists; the residual is taken from D in row blocks.  The copy is made in
-    D's own C order, a straight copy, and handed to LU transposed: that view
-    is Fortran-contiguous and equals D, which is symmetric.
+    LU factors a float copy of D in place, so beside D itself, 1 or 2 bytes
+    per entry, only one n x n array exists, of float64; the residual is taken
+    from D in row blocks.  The copy is made in D's own C order, a straight
+    copy, and handed to LU transposed: that view is Fortran-contiguous and
+    equals D, which is symmetric.  Both are finite by construction, so scipy's
+    finiteness scans are skipped.
     """
     import scipy.linalg  # here, so that the exact paths never load scipy
 
@@ -395,14 +398,14 @@ def solve_curvature_float(D: DistanceMatrix) -> FloatSolution:
     with warnings.catch_warnings():
         # singularity is decided by the explicit pivot check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(lu, overwrite_a=True)
+        lu, piv = scipy.linalg.lu_factor(lu, overwrite_a=True, check_finite=False)
     u_diag = np.abs(np.diagonal(lu))
     if u_diag.min() < FLOAT_PIVOT_FLOOR * n:
         raise NumericallySingularError(
             f"pivot {u_diag.min():.3e} below {FLOAT_PIVOT_FLOOR * n:.3e}; "
             "matrix is numerically singular"
         )
-    w = scipy.linalg.lu_solve((lu, piv), rhs)
+    w = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     residual = max(float(np.abs(D.entries[r:r + _RESIDUAL_ROWS].astype(np.float64) @ w
                                 - float(n)).max())
                    for r in range(0, n, _RESIDUAL_ROWS))

@@ -101,7 +101,7 @@ def game_value(D: DistanceMatrix, curvature: CurvatureSolution | None = None) ->
             return _certified(D, pair, pair, list(range(n)))
         except HardVerificationError:
             pass  # not this D's positive w: solve the game as if none were given
-    M = D.entries + 1  # shifted payoffs, all >= 1
+    M = np.add(D.entries, 1, dtype=np.int64)  # shifted payoffs, all >= 1; no uint8 wrap at 255
 
     # float steepest edge, float Bland, exact Bland: a failed float run hands
     # over to the next one, and the exact run's failure is the solver's

@@ -8,7 +8,9 @@ pass per level advances every source at once (Akiba, Iwata & Yoshida, SIGMOD
 2013; Then et al., MS-BFS, VLDB 2014).  On deep graphs (paths, long cycles)
 each level carries about one new bit per word and numpy call overhead
 dominates, so they take scipy's per-source Dijkstra (`_dijkstra`), imported
-only there.
+only there.  Either way D comes back in np.min_scalar_type(diameter), uint8
+up to 255 and uint16 up to 65,535; the exact solve and the game widen it to
+int64 where their arithmetic needs it.
 """
 
 from __future__ import annotations
@@ -31,25 +33,27 @@ class DistanceMatrix:
     """Dense n x n matrix of graph distances, immutable after construction.
 
     Entries are non-negative integers with zero diagonal and symmetry; the
-    triangle inequality holds by construction from shortest paths.
+    triangle inequality holds by construction from shortest paths.  `apsp`
+    stores them unsigned, in the narrowest dtype that holds the diameter;
+    int64 is accepted for hand-built matrices.
     """
 
     n: int
-    entries: np.ndarray  # int64, shape (n, n), read-only
+    entries: np.ndarray  # unsigned or int64, shape (n, n), read-only
 
     def __post_init__(self):
         e = self.entries
         if e.shape != (self.n, self.n):
             raise ValueError(f"entries shape {e.shape} does not match n={self.n}")
-        if e.dtype != np.int64:
-            raise ValueError(f"entries must be int64, got {e.dtype}")
+        if e.dtype != np.int64 and e.dtype.kind != "u":
+            raise ValueError(f"entries must be int64 or unsigned, got {e.dtype}")
         if np.diagonal(e).any():
             raise ValueError("distance matrix must have zero diagonal")
         # the upper triangle against the lower, 256 rows at a time: no n^2 temporary
         if not all(np.array_equal(e[r:r + 256, r:], e[r:, r:r + 256].T)
                    for r in range(0, self.n, 256)):
             raise ValueError("distance matrix must be symmetric")
-        if e.min(initial=0) < 0:
+        if e.dtype.kind == "i" and e.min(initial=0) < 0:
             raise ValueError("distances must be non-negative")
         e.flags.writeable = False
 
@@ -74,14 +78,14 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bitbfs(g: Graph) -> np.ndarray:
-    """int64 distances of a connected graph by multi-source bit-parallel BFS.
+    """Distances of a connected graph by multi-source bit-parallel BFS, in the narrowest dtype.
 
     Bit s of row v of an (n, ceil(n/64)) uint64 bitset stands for source s
     at vertex v.  Rows are relabelled by decreasing degree, so the rows that
     have a j-th neighbour are a prefix and each neighbour slot j is one
     gather over that prefix.  Each level ORs its new bits into the bit-planes
-    of the level number, from which D is assembled in row blocks; no n^2
-    temporary is made.
+    of the level number, which are ORed into the rows of D block by block;
+    no n^2 temporary is made.
     """
     n = g.n
     indptr, indices = _csr(g)
@@ -129,18 +133,15 @@ def _bitbfs(g: Graph) -> np.ndarray:
                     planes[k] |= nxt
         frontier = nxt
 
-    D = np.empty((n, n), dtype=np.int64)
-    dtype = np.min_scalar_type(level)
+    D = np.zeros((n, n), dtype=np.min_scalar_type(level))
     step = max(1, _BLOCK_CELLS // n)
     for r0 in range(0, n, step):
         block = rank[r0:r0 + step]
-        acc = np.zeros((len(block), n), dtype=dtype)
         for k, plane in enumerate(planes):
             bits = np.unpackbits(plane[block].astype("<u8", copy=False).view(np.uint8),
-                                 axis=1, count=n, bitorder="little").astype(dtype, copy=False)
+                                 axis=1, count=n, bitorder="little").astype(D.dtype, copy=False)
             bits <<= k
-            acc |= bits
-        D[r0:r0 + step] = acc
+            D[r0:r0 + step] |= bits
     return D
 
 
@@ -151,7 +152,7 @@ def _gather(frontier: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _dijkstra(g: Graph) -> np.ndarray:
-    """int64 distances of a connected graph by scipy's per-source Dijkstra."""
+    """Distances of a connected graph by scipy's per-source Dijkstra, in the narrowest dtype."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
@@ -160,15 +161,16 @@ def _dijkstra(g: Graph) -> np.ndarray:
     adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     # adjacency is symmetric, so the directed search gives the same distances;
     # the undirected one also walks the transpose, about 15% slower
-    return shortest_path(adj, method="D", unweighted=True, directed=True).astype(np.int64)
+    D = shortest_path(adj, method="D", unweighted=True, directed=True)
+    return D.astype(np.min_scalar_type(int(D.max())))
 
 
 def row_sums(D: DistanceMatrix) -> np.ndarray:
     """Vector of row sums of D."""
-    return D.entries.sum(axis=1)
+    return D.entries.sum(axis=1, dtype=np.int64)
 
 
 def eccentricities(D: DistanceMatrix) -> tuple[np.ndarray, int, int]:
     """Per-vertex eccentricities plus (radius, diameter)."""
-    ecc = D.entries.max(axis=1)
+    ecc = D.entries.max(axis=1).astype(np.int64)
     return ecc, int(ecc.min()), int(ecc.max())

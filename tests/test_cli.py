@@ -484,6 +484,10 @@ GOLDEN_CASES = [
     # nullity 99 twice
     ("curvature", spec, seed) for spec, seed in [("gnp:120,1/12", 1943460723), ("cycle:200", 0),
                                                  ("grid:10,12", 0)]
+] + [
+    # written while distances were int64: at the uint8/uint16 switch of apsp's
+    # dtype, a game whose payoffs D + 1 reach 256 and a solve on uint16 distances
+    ("game", "path:256", 0), ("curvature", "path:257", 0),
 ]
 
 

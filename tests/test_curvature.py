@@ -399,8 +399,9 @@ def _rank_mod(A: np.ndarray, p: int) -> int:
 class TestEliminateMod:
     """The Gauss-Jordan kernel against the inverse it generalises."""
 
-    MATRICES = [apsp(g).entries for g in (path(3), cycle(7), gnp(40, Fraction(1, 5), 1)[0],
-                                          star(9), complete(5))]
+    # in int64, the dtype the exact solve hands the kernel: it computes in A's dtype
+    MATRICES = [apsp(g).entries.astype(np.int64)
+                for g in (path(3), cycle(7), gnp(40, Fraction(1, 5), 1)[0], star(9), complete(5))]
 
     @pytest.mark.parametrize("A", MATRICES)
     def test_full_rank_matches_inverse_mod(self, A):
@@ -414,7 +415,7 @@ class TestEliminateMod:
     @pytest.mark.parametrize("part", ["all", "top rows", "left columns"])
     def test_matches_outer_product_kernel(self, spec, part):
         # singular D and its half-row (wide) and half-column (tall) slices
-        A = apsp(parse_generator_spec(spec)).entries
+        A = apsp(parse_generator_spec(spec)).entries.astype(np.int64)
         half = len(A) // 2
         A = {"all": A, "top rows": A[:half], "left columns": A[:, :half]}[part]
         p = curvature.LIFT_PRIME
@@ -450,7 +451,8 @@ class TestEliminateMod:
 def _panel_cases():
     """Matrices that put the panel kernel's boundaries in play, by name, as functions of p."""
     b = _PANEL
-    D = apsp(gnp(3 * b, Fraction(1, 10), 11)[0]).entries  # full rank mod LIFT_PRIME
+    # full rank mod LIFT_PRIME; in int64, as the exact solve hands it to the kernel
+    D = apsp(gnp(3 * b, Fraction(1, 10), 11)[0]).entries.astype(np.int64)
 
     def zero_block(p):
         # the first panel finds its pivots only below row b + 5, so its swaps move

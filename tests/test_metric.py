@@ -157,6 +157,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="does not match"):
             metric.DistanceMatrix(n=299, entries=e)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_unsigned_entries_take_the_same_checks(self, dtype):
+        # apsp stores distances unsigned; only the negativity check cannot fail there
+        e = self.path_metric(255).astype(dtype)
+        assert metric.DistanceMatrix(n=255, entries=e.copy()).n == 255
+        e[0, 254] -= 1
+        with pytest.raises(ValueError, match="must be symmetric"):
+            metric.DistanceMatrix(n=255, entries=e.copy())
+        e[3, 3] = 1
+        with pytest.raises(ValueError, match="zero diagonal"):
+            metric.DistanceMatrix(n=255, entries=e)
+
     def test_empty(self):
         assert metric.DistanceMatrix(n=0, entries=np.zeros((0, 0), dtype=np.int64)).n == 0
 
@@ -220,7 +232,7 @@ class TestBranches:
     @staticmethod
     def assert_both(g, reference=None):
         bit, dijkstra = metric._bitbfs(g), metric._dijkstra(g)
-        assert bit.dtype == dijkstra.dtype == np.int64
+        assert bit.dtype == dijkstra.dtype == np.uint8  # every diameter here is below 256
         assert np.array_equal(bit, dijkstra), g
         if reference is not None:
             assert np.array_equal(bit, reference.astype(np.int64)), g
@@ -274,7 +286,7 @@ class TestBranches:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * g.n ** 2
+        assert peak < 8 * g.n ** 2  # less than one int64 copy of D
 
 
 class TestDisconnectedPair:

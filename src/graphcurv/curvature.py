@@ -4,18 +4,18 @@ Every exact solve, this one and the game's basis systems, runs through
 `solve_exact`: for each prime p from LIFT_PRIME down, Gauss-Jordan mod p
 (`_eliminate_mod`) gives the pivot rows I and columns J, and Dixon p-adic
 lifting (`dixon_lift`, Dixon 1982) with rational reconstruction (Wang, Guy
-& Davenport 1982) solves A[I, J] x = b_I and A[I, J] x = A[I, j] for every
-free column j at once.  The elimination runs in column panels, each taking
-the rest of the matrix in one float64 GEMM, and the lift's products run on
-`exact_matmul`: with p < 2^20 both are exact float64 BLAS, in the manner of
-FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 2008).  Null columns that
-combine only pivot columns left of j and hold on every row certify J as the
-column rank profile over Q (Dumas, Pernet & Sultan, ISSAC 2013); otherwise
-the next prime is tried.
-Then w, free variables zero, satisfies D num = n den 1 on every row, or the
-system is inconsistent.  The float path is plain LU for large instances and
-never classifies the solution set; it imports scipy.linalg only when it
-runs.
+& Davenport 1982) solves A[:, J] x = b and A[:, J] x = A[:, j] for every
+free column j at once, on every row.  The elimination runs in column
+panels, each taking the rest of the matrix in one float64 GEMM, and the
+lift's products run on `exact_matmul`: with p < 2^20 both are exact float64
+BLAS, in the manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 2008).
+The lift certifies its own answers by exact divisions and a size bound.
+Null columns that combine only pivot columns left of j certify J as the
+column rank profile over Q (Dumas, Pernet & Sultan, ISSAC 2013), or the next
+prime is tried; then w, free variables zero, has D num = n den 1 on every
+row, or the system is inconsistent.  The float path is plain LU for large
+instances and never classifies the solution set; it imports scipy.linalg
+only when it runs.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def _primes():
 def _lift_steps(n: int, a: int, beta: int, p: int) -> int:
     """Lifting steps after which reconstruction must find the solution.
 
-    By Hadamard's bound every n x n minor of [A | b], so det A and each
+    By Hadamard's bound every n x n minor of [A | B], so det A and each
     Cramer numerator, is at most H with H^2 = (n a^2 + beta^2)^n, where a
-    and beta are the largest magnitudes in A and b; reconstruction is
+    and beta are the largest magnitudes in A and B; reconstruction is
     unique once p^k > 2 H^2.
     """
     h2 = (n * a * a + beta * beta) ** n
@@ -229,59 +229,61 @@ def _reconstruct(u: list[int], m: int) -> tuple[list[int], int] | None:
     return num, den
 
 
-def _holds(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]], bound: int) -> bool:
-    """Whether A num_j == den_j B[:, j] exactly for every column j of B (True for none).
+def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray,
+               p: int) -> list[tuple[list[int], int] | None]:
+    """num_j, den_j > 0 with A num_j = den_j B[:, j] exactly, or None when no x has A x = B[:, j].
 
-    sols[j] = (num_j, den_j), and `bound` is at least every |entry| of A and
-    B, so cols(A) bound max(|num_j|, den_j) bounds every partial sum.
+    A is m x r of full column rank with its r pivot rows first, C their
+    inverse mod the prime p, and B has k columns, all in A's dtype.  Each
+    step takes X = C (R[:r] mod p) mod p and R <- (R - A X) / p, one
+    `exact_matmul` each for every column (Dixon 1982), on float64 copies of C
+    and A made once.  Each division must be exact: on a pivot row it is
+    unless C is wrong (HardVerificationError), on a row below unless the
+    column has no solution (None).  So A u = B - p^i R for the expansion u,
+    and a reconstruction (Wang, Guy & Davenport 1982) with den u = num
+    (mod p^i) and r max|A| max|num| + max|B| den < p^i has A num = den B[:, j]
+    on every row, with no product.  Every column is reconstructed after 2, 4,
+    8, ... steps and at the cap `_lift_steps` (at least 1, for rank 0), which
+    covers the (r+1)-minors of [A | B] too when m > r; it returns once all
+    but the None ones are accepted, or else the kernel is wrong.
     """
-    if not sols:
-        return True
-    nums, dens = zip(*sols)
-    big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
-    N = exact_matmul(A, nums, big * max(1, bound) * max(1, A.shape[1]))
-    return bool((N == B * np.array(dens, dtype=N.dtype)).all())
-
-
-def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
-    """num_j, den_j > 0 with A num_j = den_j B[:, j] exactly, by Dixon p-adic lifting.
-
-    A is square, C = A^-1 mod the prime p, and B has k columns; all three
-    share A's dtype.  Each step takes X = C (R mod p) mod p and
-    R <- (R - A X) / p, an exact division and one product for every column,
-    so sum_i X_i p^i solves A W = B modulo p^i (Dixon 1982).  Both products
-    go through `exact_matmul` under the bounds n (p-1)^2 and n max|A| (p-1),
-    on float64 copies of C and A made once per lift: up to LIFT_MAX_N the
-    first is always on the float64 tier.  Every column is lifted at every
-    step, since by Cramer's rule all share the denominator det A and one
-    Hadamard cap.  All are reconstructed (Wang, Guy & Davenport 1982) after
-    2, 4, 8, ... steps and at the cap `_lift_steps`, and returned once every
-    column's identity holds.  Failing that at the cap means the kernel is
-    wrong: HardVerificationError.
-    """
-    n, k = B.shape
+    m, r = A.shape
     a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
-    steps = _lift_steps(n, a, beta, p)
-    # every entry of C (R mod p) is below n (p-1)^2, and of A X below n a (p-1)
-    c_bound, a_bound = n * (p - 1) ** 2, n * max(a, 1) * (p - 1)
+    steps = max(1, _lift_steps(r + (m > r), a, beta, p))
+    # every entry of C (R mod p) is below r (p-1)^2, and of A X below r a (p-1)
+    c_bound, a_bound = r * (p - 1) ** 2, r * max(a, 1) * (p - 1)
     # float copies for exact_matmul's float64 tier, made once
     C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
     A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
-    R, U = B, [[0] * n for _ in range(k)]  # the residual and each column's expansion so far
+    R, U = B, [[0] * r for _ in range(B.shape[1])]  # the residual and the expansions so far
+    dead = np.zeros(B.shape[1], dtype=bool)  # the columns without a solution
     pk = 1
     attempt = 2
     for step in range(1, steps + 1):
-        X = exact_matmul(C, (R % p).T, c_bound, C_float) % p
-        R = (R - exact_matmul(A, X.T, a_bound, A_float)) // p
+        X = exact_matmul(C, (R[:r] % p).T, c_bound, C_float) % p
+        R = R - exact_matmul(A, X.T, a_bound, A_float)
+        rem = R % p
+        if np.count_nonzero(rem):
+            if rem[:r].any():
+                raise HardVerificationError(
+                    f"p-adic lifting mod {p}: a pivot row is not divisible by p, so C is wrong")
+            dead |= (rem[r:] != 0).any(axis=0)
+        R //= p
         U = [[ui + xi * pk for ui, xi in zip(u, x)] for u, x in zip(U, X.T.tolist())]
         pk *= p
         if step == attempt or step == steps:
             attempt *= 2
-            sols = [_reconstruct(u, pk) for u in U]
-            if None not in sols and _holds(A, B, sols, max(a, beta)):
+            sols = [None if d else _reconstruct(u, pk) for d, u in zip(dead, U)]
+            if all(d or s and _fits(*s, u, pk, r * a, beta) for d, s, u in zip(dead, sols, U)):
                 return sols
     raise HardVerificationError(
         f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
+
+
+def _fits(num: list[int], den: int, u: list[int], pk: int, ra: int, beta: int) -> bool:
+    """Whether den u = num (mod pk) and ra max|num| + beta den < pk."""
+    return ra * max(map(abs, num), default=0) + beta * den < pk and all(
+        (den * x - y) % pk == 0 for x, y in zip(u, num))
 
 
 def _certified_solve(
@@ -290,9 +292,9 @@ def _certified_solve(
     """`solve_exact`, plus (A, C, p) of the elimination it certified.
 
     A is in the dtype the lift ran in.  When A has full rank C = A^-1 mod p,
-    so a caller can lift A^T on C^T without eliminating again.  For each
-    prime, [b_I | A[I, F]] is lifted on A[I, J] for the pivot rows I, pivot
-    columns J and free columns F.
+    so a caller can lift A^T on C^T without eliminating again.  Otherwise,
+    for each prime, [b | A[:, F]] is lifted on A[:, J], pivot rows first,
+    for the pivot columns J and free columns F.
     """
     A = A.astype(np.int64, copy=False)  # distances come as uint8 or uint16; p needs more
     m, k = A.shape
@@ -306,24 +308,21 @@ def _certified_solve(
     bvec = np.array(b, dtype=A.dtype)
     for p in _primes():
         rows, cols, C = _eliminate_mod(A, p)
-        if len(cols) == m == k:  # full rank: the lift's certificate covers every row
+        if len(cols) == m == k:  # full rank: no rows below the pivot block
             (num, den), = dixon_lift(A, C, bvec[:, None], p)
             return cols, num, den, (A, C, p)
         free = sorted(set(range(k)) - set(cols))
-        sub = A[np.ix_(rows, cols)]
-        rhs = np.column_stack([bvec[rows], A[np.ix_(rows, free)]])
-        (num, den), *nulls = dixon_lift(sub, C, rhs, p)
+        order = rows + sorted(set(range(m)) - set(rows))
+        rhs = np.column_stack([bvec[order], A[np.ix_(order, free)]])
+        sol, *nulls = dixon_lift(A[np.ix_(order, cols)], C, rhs, p)
         # each free column j must lie in the span of the pivot columns left of
-        # it, on every row: then cols is the rank profile over Q
-        if any(x for j, (x_j, _) in zip(free, nulls) for c, x in zip(cols, x_j) if c > j):
+        # it, on every row: then cols is the rank profile over Q, and a b
+        # without a solution is inconsistent
+        if any(not z or any(x for c, x in zip(cols, z[0]) if c > j) for j, z in zip(free, nulls)):
             continue
-        other = sorted(set(range(m)) - set(rows))
-        rest = A[np.ix_(other, cols)]
-        if not _holds(rest, A[np.ix_(other, free)], nulls, beta):
-            continue
-        # the only candidate on the pivot rows must hold on the others too
-        if not _holds(rest, bvec[other, None], [(num, den)], beta):
+        if sol is None:
             return cols, None, 1, (A, C, p)
+        num, den = sol
         full = [0] * k
         for c, x in zip(cols, num):
             full[c] = x

@@ -13,7 +13,8 @@ library's arithmetic and changed only its memory use or its sharing of work
 with one elimination mod p per system, the inverse mod p that gave up on a
 column without a pivot, the elimination mod p on the whole of [A | I] one
 column at a time, the p-adic lift that stopped lifting each column once it
-was certified, the exact Bland simplex on its own
+was certified, the lift certified by one product after each reconstruction
+and on the rows outside the pivot block, the exact Bland simplex on its own
 list-of-Fractions tableau, the full-width simplex tableau, the battery as a list of `Measure`s with int64
 block products, JSON through the stdlib's indent=2 encoder, the game's basis
 pair as Fractions with one transport vector per certificate), the replaced
@@ -51,8 +52,9 @@ from graphcurv import (
     transport_vector,
     validate,
 )
-from graphcurv.curvature import (FLOAT_PIVOT_FLOOR, _certified_solve, _lift_steps, _reconstruct,
-                                 dixon_lift, solve_exact)
+from graphcurv.curvature import (FLOAT_PIVOT_FLOOR, LIFT_MAX_N, LIFT_PRIME, _certified_solve,
+                                 _eliminate_mod, _lift_steps, _primes, _reconstruct, dixon_lift,
+                                 solve_exact)
 from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL, GameSolution
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
@@ -515,6 +517,115 @@ def dixon_lift_retiring(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> 
             left, Bl, R, U = [left[t] for t in keep], Bl[:, keep], R[:, keep], [U[t] for t in keep]
     raise HardVerificationError(
         f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
+
+
+def holds(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]], bound: int) -> bool:
+    """`curvature._holds` before each lift certified itself by exact divisions.
+
+    Whether A num_j == den_j B[:, j] exactly for every column j of B (True for none).
+
+    sols[j] = (num_j, den_j), and `bound` is at least every |entry| of A and
+    B, so cols(A) bound max(|num_j|, den_j) bounds every partial sum.
+    """
+    if not sols:
+        return True
+    nums, dens = zip(*sols)
+    big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
+    N = exact_matmul(A, nums, big * max(1, bound) * max(1, A.shape[1]))
+    return bool((N == B * np.array(dens, dtype=N.dtype)).all())
+
+
+def dixon_lift_holds(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
+    """`curvature.dixon_lift` when `holds` certified each reconstruction by one product.
+
+    num_j, den_j > 0 with A num_j = den_j B[:, j] exactly, by Dixon p-adic lifting.
+
+    A is square, C = A^-1 mod the prime p, and B has k columns; all three
+    share A's dtype.  Each step takes X = C (R mod p) mod p and
+    R <- (R - A X) / p, an exact division and one product for every column,
+    so sum_i X_i p^i solves A W = B modulo p^i (Dixon 1982).  Both products
+    go through `exact_matmul` under the bounds n (p-1)^2 and n max|A| (p-1),
+    on float64 copies of C and A made once per lift: up to LIFT_MAX_N the
+    first is always on the float64 tier.  Every column is lifted at every
+    step, since by Cramer's rule all share the denominator det A and one
+    Hadamard cap.  All are reconstructed (Wang, Guy & Davenport 1982) after
+    2, 4, 8, ... steps and at the cap `_lift_steps`, and returned once every
+    column's identity holds.  Failing that at the cap means the kernel is
+    wrong: HardVerificationError.
+    """
+    n, k = B.shape
+    a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
+    steps = _lift_steps(n, a, beta, p)
+    # every entry of C (R mod p) is below n (p-1)^2, and of A X below n a (p-1)
+    c_bound, a_bound = n * (p - 1) ** 2, n * max(a, 1) * (p - 1)
+    # float copies for exact_matmul's float64 tier, made once
+    C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
+    A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
+    R, U = B, [[0] * n for _ in range(k)]  # the residual and each column's expansion so far
+    pk = 1
+    attempt = 2
+    for step in range(1, steps + 1):
+        X = exact_matmul(C, (R % p).T, c_bound, C_float) % p
+        R = (R - exact_matmul(A, X.T, a_bound, A_float)) // p
+        U = [[ui + xi * pk for ui, xi in zip(u, x)] for u, x in zip(U, X.T.tolist())]
+        pk *= p
+        if step == attempt or step == steps:
+            attempt *= 2
+            sols = [_reconstruct(u, pk) for u in U]
+            if None not in sols and holds(A, B, sols, max(a, beta)):
+                return sols
+    raise HardVerificationError(
+        f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
+
+
+def certified_solve_holds(
+    A: np.ndarray, b: list[int]
+) -> tuple[list[int], list[int] | None, int, tuple[np.ndarray, np.ndarray, int]]:
+    """`curvature._certified_solve` when `holds` checked the rows outside the pivot block.
+
+    `solve_exact`, plus (A, C, p) of the elimination it certified.
+
+    A is in the dtype the lift ran in.  When A has full rank C = A^-1 mod p,
+    so a caller can lift A^T on C^T without eliminating again.  For each
+    prime, [b_I | A[I, F]] is lifted on A[I, J] for the pivot rows I, pivot
+    columns J and free columns F.
+    """
+    A = A.astype(np.int64, copy=False)  # distances come as uint8 or uint16; p needs more
+    m, k = A.shape
+    size = max(m, k)
+    a = int(np.abs(A).max(initial=0))
+    # free columns of A join b on the right-hand side, so the lift's |R| stays
+    # below beta + 2 size a for beta = max(a, |b|), and R - A X below size p (2 a + beta)
+    beta = max([a, *map(abs, b)])
+    if size > LIFT_MAX_N or size * LIFT_PRIME * (2 * a + beta) > INT64_MAX:
+        A = A.astype(object)
+    bvec = np.array(b, dtype=A.dtype)
+    for p in _primes():
+        rows, cols, C = _eliminate_mod(A, p)
+        if len(cols) == m == k:  # full rank: the lift's certificate covers every row
+            (num, den), = dixon_lift_holds(A, C, bvec[:, None], p)
+            return cols, num, den, (A, C, p)
+        free = sorted(set(range(k)) - set(cols))
+        sub = A[np.ix_(rows, cols)]
+        rhs = np.column_stack([bvec[rows], A[np.ix_(rows, free)]])
+        (num, den), *nulls = dixon_lift_holds(sub, C, rhs, p)
+        # each free column j must lie in the span of the pivot columns left of
+        # it, on every row: then cols is the rank profile over Q
+        if any(x for j, (x_j, _) in zip(free, nulls) for c, x in zip(cols, x_j) if c > j):
+            continue
+        other = sorted(set(range(m)) - set(rows))
+        rest = A[np.ix_(other, cols)]
+        if not holds(rest, A[np.ix_(other, free)], nulls, beta):
+            continue
+        # the only candidate on the pivot rows must hold on the others too
+        if not holds(rest, bvec[other, None], [(num, den)], beta):
+            return cols, None, 1, (A, C, p)
+        full = [0] * k
+        for c, x in zip(cols, num):
+            full[c] = x
+        return cols, full, den, (A, C, p)
+    raise HardVerificationError("no prime certified the rank profile")
+
 
 
 def solve_system_fraction_lstsq(D: np.ndarray, n: int) -> list[Fraction] | None:

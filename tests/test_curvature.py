@@ -28,7 +28,7 @@ from graphcurv import (
     transitive_oracle,
 )
 from graphcurv import curvature
-from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, _holds, dixon_lift, solve_exact
+from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, dixon_lift, solve_exact
 from graphcurv.rationals import FLOAT_EXACT_MAX
 import oracles
 from oracles import (
@@ -544,6 +544,32 @@ class TestPanelKernel:
         self.assert_matches(A, p)
 
 
+@st.composite
+def tall_systems(draw):
+    """A full-column-rank m x r system, its rows shuffled, and k right-hand sides.
+
+    The rows below the first r are integer combinations of them, so each
+    column is consistent unless it is drawn with an error e on one of those
+    rows, now and then e p^2, which every division passes for two steps.
+    """
+    r, below, k = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    ints = lambda lo, hi, size: st.lists(st.integers(lo, hi), min_size=size, max_size=size)
+    top = np.array(draw(st.lists(ints(-30, 30, r), min_size=r, max_size=r)), dtype=np.int64)
+    T = np.array(draw(st.lists(ints(-3, 3, r), min_size=below, max_size=below)), dtype=np.int64)
+    B_top = np.array(draw(st.lists(ints(-30, 30, k), min_size=r, max_size=r)), dtype=np.int64)
+    A = np.vstack([top, T.reshape(below, r) @ top])
+    B = np.vstack([B_top, T.reshape(below, r) @ B_top])
+    for j in range(k):
+        if below and draw(st.booleans()):
+            e = draw(st.sampled_from([-2, -1, 1, 3])) * (LIFT_PRIME**2 if draw(st.booleans()) else 1)
+            B[r + draw(st.integers(0, below - 1)), j] += e
+    order = draw(st.permutations(range(r + below)))
+    A, B = A[order], B[order]
+    if draw(st.integers(0, 4)) == 0:  # now and then on Python ints, as past the int64 guard
+        A, B = A.astype(object), B.astype(object)
+    return A, B
+
+
 class TestDixonLifting:
     """The p-adic lifting kernel against the Fraction oracle, and its certificates."""
 
@@ -643,16 +669,57 @@ class TestDixonLifting:
         assert sols == [([0], 1), ([beta], a)]
         assert moduli == [p**2, p**2, p**4, p**4]
 
+    @settings(max_examples=120, deadline=None)
+    @given(tall_systems())
+    def test_tall_lift_matches_oracle_and_old_kernel(self, system):
+        A, B = system
+        (m, r), k, p = A.shape, B.shape[1], LIFT_PRIME
+        rows, cols, C = _eliminate_mod(A, p)
+        assume(len(cols) == r)  # full column rank mod p, so over Q too
+        other = sorted(set(range(m)) - set(rows))
+        with pytest.MonkeyPatch.context() as mp:
+            moduli, old_moduli = self.spy_moduli(mp), self.spy_moduli(mp, oracles)
+            sols = dixon_lift(A[rows + other], C, B[rows + other], p)
+            # the replaced kernel: lift the pivot rows, then one product on the rows below
+            bound = max(int(np.abs(A).max()), int(np.abs(B).max()))
+            old = [sol if oracles.holds(A[other], B[other][:, [j]], [sol], bound) else None
+                   for j, sol in enumerate(oracles.dixon_lift_holds(A[rows], C, B[rows], p))]
+        assert sols == old
+        padded = np.hstack([A, np.zeros((m, m - r), dtype=A.dtype)]).tolist()  # square, for the oracle
+        for j, sol in enumerate(sols):
+            status, _, x = solve_system_fraction(padded, B[:, j].tolist())
+            assert (sol is None) == (status is SolveStatus.INCONSISTENT)
+            if sol is not None:
+                assert sol[1] > 0 and tuple(Fraction(v, sol[1]) for v in sol[0]) == x[:r]
+        # the cap now covers the rows below too; short of it, the same attempts as the replaced kernel
+        old_cap = curvature._lift_steps(r, int(np.abs(A[rows]).max()), int(np.abs(B[rows]).max()), p)
+        if None not in sols and old_moduli[-1] < p**old_cap:
+            assert moduli == old_moduli
+
+    def test_rank_zero_and_boundary_systems(self, monkeypatch):
+        p = LIFT_PRIME
+        moduli = self.spy_moduli(monkeypatch)
+        # rank 0: one step runs, and the residual p divides once, then not
+        assert solve_exact(np.array([[0]], dtype=np.int64), [0]) == ([], [0], 1)
+        assert solve_exact(np.array([[0]], dtype=np.int64), [p]) == ([], None, 1)
+        assert moduli == [p, p, p**2]
+        # x = 0 fits the pivot row, and the row below differs by exactly p^2:
+        # after two exact divisions the bound 1 * 0 + p^2 * 1 < p^2 fails, and
+        # the third division is inexact
+        moduli.clear()
+        assert solve_exact(np.array([[1], [1]], dtype=np.int64), [0, p**2]) == ([0], None, 1)
+        assert moduli == [p**2]
+
     def test_holds_answers_for_every_column_at_once(self):
         A = np.array([[2, 1], [1, 3]], dtype=np.int64)
         B = np.array([[3, 5, 0], [4, 1, 0]], dtype=np.int64)
         sols = [([1, 1], 1), ([14, -3], 5), ([0, 0], 1)]
-        assert _holds(A, B, sols, 5) is True
-        assert _holds(A, B[:, :0], [], 5) is True
+        assert oracles.holds(A, B, sols, 5) is True
+        assert oracles.holds(A, B[:, :0], [], 5) is True
         for j in range(3):
             wrong = list(sols)
             wrong[j] = ([sols[j][0][0] + 1, sols[j][0][1]], sols[j][1])
-            assert _holds(A, B, wrong, 5) is False
+            assert oracles.holds(A, B, wrong, 5) is False
 
     def test_uncertified_candidates_raise(self, monkeypatch):
         monkeypatch.setattr(curvature, "_reconstruct", lambda u, m: ([3, 1, 3], 2))
@@ -660,7 +727,8 @@ class TestDixonLifting:
             solve_curvature(apsp(path(3)))
 
     def test_wrong_elimination_is_refused(self, monkeypatch):
-        # an inverse that is off in one entry never lifts to a certified w
+        # an inverse that is off in one entry leaves a pivot row's residual
+        # indivisible by p at the first step
         eliminate = curvature._eliminate_mod
 
         def corrupt(A, p):
@@ -670,7 +738,7 @@ class TestDixonLifting:
             return rows, cols, C
 
         monkeypatch.setattr(curvature, "_eliminate_mod", corrupt)
-        with pytest.raises(HardVerificationError, match="cap"):
+        with pytest.raises(HardVerificationError, match="pivot row is not divisible by p"):
             solve_curvature(apsp(path(3)))
 
     def test_singular_mod_p_falls_back(self, monkeypatch):

@@ -20,8 +20,9 @@ Every JSON document is in the layout of json.dumps with indent=2, byte for
 byte, and is written by one writer, `_write_json`, with one write.  The
 stdlib uses its C encoder only without indent, so `_json_text` encodes a
 list one column at a time with C-level maps instead: the list itself when
-it holds scalars, and each field of a list of records that share their keys
-in the same order, joined by one %-template per record.
+it holds scalars.  Records that share their keys (the verify records) come
+as one `_Records` table, a column per key, each encoded at once and joined
+by one %-template per record.
 
 Exit codes: 0 ok, 2 input error, 3 disconnected graph, 4 inconsistent
 curvature system, 5 hard verification failure.
@@ -33,7 +34,9 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Sequence
 
 import numpy as np
 
@@ -153,6 +156,17 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
+@dataclass(frozen=True)
+class _Records:
+    """Records with the same str keys, one column per key; written as a list of dicts.
+
+    % in a key is escaped as %% in the template that joins each record's fields.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple[Sequence, ...]
+
+
 def _write_json(doc) -> None:
     sys.stdout.write(_json_text(doc) + "\n")
 
@@ -169,10 +183,18 @@ def _json_text(o, ind: str = "\n") -> str:
         text = float.__repr__(o)
         return _NONFINITE.get(text, text)
     inner = ind + "  "
+    if isinstance(o, _Records):
+        if not o.columns[0]:
+            return "[]"
+        field = inner + "  "
+        template = "{" + field + ("," + field).join(
+            _quote(k).replace("%", "%%") + ": %s" for k in o.keys) + inner + "}"
+        items = map(template.__mod__, zip(*(_json_column(c, field) for c in o.columns)))
+        return "[" + inner + ("," + inner).join(items) + ind + "]"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        return "[" + inner + ("," + inner).join(_json_items(o, inner)) + ind + "]"
+        return "[" + inner + ("," + inner).join(_json_column(o, inner)) + ind + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -188,24 +210,6 @@ def _key_text(k) -> str:
     if isinstance(k, (int, float)) or k is None:
         return _json_text(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _json_items(items, ind: str):
-    """The text of each item of a non-empty list whose items sit at indentation ind.
-
-    Records, dicts with the same str keys in the same order, are encoded one
-    field at a time and joined by one template; % in a key is escaped as %%.
-    """
-    if set(map(type, items)) == {dict}:
-        keys = set(map(tuple, items))
-        fields = keys.pop() if len(keys) == 1 else ()
-        if fields and set(map(type, fields)) == {str}:
-            inner = ind + "  "
-            template = "{" + inner + ("," + inner).join(
-                _quote(k).replace("%", "%%") + ": %s" for k in fields) + ind + "}"
-            columns = [_json_column(c, inner) for c in zip(*map(dict.values, items))]
-            return map(template.__mod__, zip(*columns))
-    return _json_column(items, ind)
 
 
 def _json_column(values, ind: str) -> list[str]:
@@ -376,18 +380,11 @@ def _verification_doc(D: DistanceMatrix, sol: CurvatureSolution, samples: int, s
         },
         "lower_violation_witness": witness,
         "findings": list(report.findings),
-        "records": [
-            {
-                "measure": label,
-                "A": A, "A_float": A_float,
-                "B": B, "B_float": B_float,
-                "lower_holds": lh, "upper_holds": uh,
-                "lower_tight": lt, "upper_tight": ut,
-            }
-            for label, A, A_float, B, B_float, lh, uh, lt, ut in zip(
-                report.labels, *_ratio_columns(report.A_num, report.A_den),
-                *_ratio_columns(report.B_num, report.B_den), *(f.tolist() for f in flags))
-        ],
+        "records": _Records(
+            ("measure", "A", "A_float", "B", "B_float",
+             "lower_holds", "upper_holds", "lower_tight", "upper_tight"),
+            (report.labels, *_ratio_columns(report.A_num, report.A_den),
+             *_ratio_columns(report.B_num, report.B_den), *(f.tolist() for f in flags))),
     }
 
 

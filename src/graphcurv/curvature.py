@@ -38,7 +38,9 @@ LIFT_PRIME = 1048573  # the largest prime below 2**20
 # is exact on float64 BLAS; beyond it the exact solve runs on Python ints
 LIFT_MAX_N = FLOAT_EXACT_MAX // LIFT_PRIME**2
 _PANEL = 40  # columns per panel of `_eliminate_mod`; its GEMMs need _PANEL (p-1)^2 + p < 2^53
-_RESIDUAL_ROWS = 256  # rows of D per float block of the residual
+# rows of D per float block of the residual; part of the output, since the
+# last bits of residual_inf depend on the block shape (and the BLAS threads)
+_RESIDUAL_ROWS = 256
 
 
 class SolveStatus(enum.Enum):

@@ -8,9 +8,11 @@ pass per level advances every source at once (Akiba, Iwata & Yoshida, SIGMOD
 2013; Then et al., MS-BFS, VLDB 2014).  On deep graphs (paths, long cycles)
 each level carries about one new bit per word and numpy call overhead
 dominates, so they take scipy's per-source Dijkstra (`_dijkstra`), imported
-only there.  Either way D comes back in np.min_scalar_type(diameter), uint8
-up to 255 and uint16 up to 65,535; the exact solve and the game widen it to
-int64 where their arithmetic needs it.
+only there; scipy's float64 rows come in blocks of sources, each written
+straight into the narrow D.  Either way D comes back in
+np.min_scalar_type(diameter), uint8 up to 255 and uint16 up to 65,535, with
+no n x n float64 made; the exact solve and the game widen it to int64 where
+their arithmetic needs it.
 """
 
 from __future__ import annotations
@@ -152,17 +154,27 @@ def _gather(frontier: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _dijkstra(g: Graph) -> np.ndarray:
-    """Distances of a connected graph by scipy's per-source Dijkstra, in the narrowest dtype."""
+    """Distances of a connected graph by scipy's per-source Dijkstra, in the narrowest dtype.
+
+    Scipy searches from one block of _BLOCK_CELLS // n source rows at a time
+    and returns that block in float64; it is written straight into D, held in
+    np.min_scalar_type(n - 1) and narrowed to the diameter's dtype at the end.
+    No n^2 float64 matrix is made.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     n = g.n
     indptr, indices = _csr(g)
     adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-    # adjacency is symmetric, so the directed search gives the same distances;
-    # the undirected one also walks the transpose, about 15% slower
-    D = shortest_path(adj, method="D", unweighted=True, directed=True)
-    return D.astype(np.min_scalar_type(int(D.max())))
+    D = np.empty((n, n), dtype=np.min_scalar_type(n - 1))  # every distance is below n
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):
+        # adjacency is symmetric, so the directed search gives the same distances;
+        # the undirected one also walks the transpose, about 15% slower
+        D[r0:r0 + step] = shortest_path(adj, method="D", unweighted=True, directed=True,
+                                        indices=np.arange(r0, min(r0 + step, n)))
+    return D.astype(np.min_scalar_type(int(D.max())), copy=False)
 
 
 def row_sums(D: DistanceMatrix) -> np.ndarray:

@@ -241,7 +241,8 @@ class TestVerify:
         doc = cli._verification_doc(D, sol, 3, 1)
         report = graphcurv.verify_minimax(D, sol, battery)
         assert max(report.records[-1].A.denominator, report.records[-1].B.numerator) > 2 ** 53
-        assert [(r["measure"], r["A"], r["A_float"], r["B"], r["B_float"]) for r in doc["records"]] == [
+        records = dict(zip(doc["records"].keys, doc["records"].columns))
+        assert list(zip(*(records[k] for k in ("measure", "A", "A_float", "B", "B_float")))) == [
             (r.descriptor, f"{r.A.numerator}/{r.A.denominator}", float(r.A),
              f"{r.B.numerator}/{r.B.denominator}", float(r.B)) for r in report.records]
 
@@ -609,6 +610,16 @@ def records(draw):
     return rows
 
 
+@st.composite
+def tables(draw):
+    """A `cli._Records` table of 0-6 rows and the list of dicts it stands for."""
+    keys = tuple(draw(st.lists(KEYS, min_size=1, max_size=4, unique=True)))
+    size = draw(st.integers(0, 6))
+    columns = tuple(draw(st.lists(draw(st.sampled_from(COLUMN_KINDS)), min_size=size, max_size=size))
+                    for _ in keys)
+    return cli._Records(keys, columns), [dict(zip(keys, row)) for row in zip(*columns)]
+
+
 COLUMNS = st.sampled_from(COLUMN_KINDS[:8]).flatmap(lambda kind: st.lists(kind, min_size=1,
                                                                            max_size=6))
 DOCUMENTS = st.recursive(
@@ -662,6 +673,14 @@ class TestJsonWriter:
     @given(records())
     def test_records(self, doc):
         assert write_json(doc) == json_indent2(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), st.sampled_from(["top", "in a dict", "in a list"]))
+    def test_tables(self, drawn, where):
+        table, rows = drawn
+        wrap = {"top": lambda x: x, "in a dict": lambda x: {"v": 1, "t": x},
+                "in a list": lambda x: [[x], 2]}[where]
+        assert write_json(wrap(table)) == json_indent2(wrap(rows))
 
     @pytest.mark.parametrize("doc", [
         set(), object(), b"x", 1j, {"a": {1, 2}}, [1, 2, object()], [{"a": 1, "b": 2j}],

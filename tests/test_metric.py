@@ -216,12 +216,16 @@ def test_directed_search_matches_undirected(monkeypatch):
         assert exc.value.unreachable_pair == pair
 
 
-def first_infinite_pair(g):
-    """The row-major first unreachable pair of scipy's distance matrix."""
+def scipy_adjacency(g):
+    """The adjacency matrix of g, with float ones, in scipy's CSR format."""
     indptr = np.cumsum([0] + [len(nbrs) for nbrs in g.adjacency])
     indices = [v for nbrs in g.adjacency for v in nbrs]
-    adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
-    dist = shortest_path(adj, unweighted=True)
+    return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
+
+
+def first_infinite_pair(g):
+    """The row-major first unreachable pair of scipy's distance matrix."""
+    dist = shortest_path(scipy_adjacency(g), unweighted=True)
     i, j = np.argwhere(np.isinf(dist))[0]
     return int(i), int(j)
 
@@ -279,14 +283,40 @@ class TestBranches:
         assert calls == [branch, branch]
 
     def test_kernel_peak_memory(self):
-        g, _ = gnp(1000, Fraction(1, 100), 1)
-        tracemalloc.start()
-        try:
-            apsp(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * g.n ** 2  # less than one int64 copy of D
+        apsp(path(70))  # scipy's lazy import is not measured
+        for g in (gnp(1000, Fraction(1, 100), 1)[0], path(1500)):
+            tracemalloc.start()
+            try:
+                D = apsp(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * g.n ** 2, g  # less than one int64 copy of D
+        # path:1500 takes scipy's Dijkstra: D and one float64 block of its rows,
+        # plus 256 bytes a vertex for the BFS set and the adjacency arrays; a
+        # whole float64 D would add 8 n^2 = 18 MB
+        assert peak <= D.entries.nbytes + 8 * metric._BLOCK_CELLS + 256 * g.n
+
+    @pytest.mark.parametrize("spec,rows", [("path:70", 3), ("path:70", 1), ("cycle:131", 5),
+                                           ("grid:3,70", 19)])
+    def test_dijkstra_in_row_blocks(self, spec, rows, monkeypatch):
+        # n = rows k + 1: several blocks of `rows` source rows and a last one of one row
+        g = parse_generator_spec(spec)
+        assert (g.n - 1) % rows == 0 and g.n > rows
+        whole = shortest_path(scipy_adjacency(g), method="D", unweighted=True)
+        searched = []
+
+        def search(*args, indices, **kw):
+            searched.append(len(indices))
+            return shortest_path(*args, indices=indices, **kw)
+
+        monkeypatch.setattr(metric, "_BLOCK_CELLS", rows * g.n + g.n - 1)
+        monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", search)
+        D = metric._dijkstra(g)
+        assert searched == [rows] * ((g.n - 1) // rows) + [1]
+        assert D.dtype == np.min_scalar_type(int(whole.max()))
+        assert np.array_equal(D, whole)
+        assert np.array_equal(D, floyd_warshall(g))
 
 
 class TestDisconnectedPair:

@@ -23,8 +23,10 @@ Left out on purpose, because each changes no output:
   - `game._nondegenerate` forced true.  `_unique_optimum` rejects every
     degenerate steepest-edge basis exactly, so the answers stay the same;
     the screen only saves the exact solve of a basis that would be
-    rejected (report-small's 27 simplex games at seeds 1-3 took 22-25 ms
-    without it against 16-22 ms with it, best of 7).
+    rejected.  It is load-bearing for time: the 27 simplex games of the
+    benchmark's report-small at seeds 1-3 took 26-46 ms without it against
+    20-36 ms with it (three rounds, best of 15 alternating passes each,
+    2 vCPUs, one BLAS thread).
   - `metric._bitbfs` with a cumulative frontier (the `unseen` mask already
     drops every bit set before), and with gathers of two slots per run (the
     OR of the same rows in another grouping).
@@ -191,7 +193,7 @@ MUTANTS = [
 ]
 
 
-def pytest_run(copy: Path, targets) -> int:
+def pytest_run(copy: Path, targets) -> int | None:
     """pytest's exit code on the targets in the copy, or None after TIMEOUT seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(copy / "src"),

@@ -1,24 +1,38 @@
-"""Independent reference implementations used only by tests.
+"""Reference implementations used only by tests.
 
-These deliberately take different algorithmic routes than the library
-(Floyd-Warshall instead of BFS, dense float LP instead of exact simplex,
-Gaussian elimination over Fractions or fraction-free Bareiss instead of
-modular elimination and p-adic lifting, row sums in Python instead of one matrix product, scalar instead of vectorized
-SplitMix, one Fraction per measure entry instead of integer numerators over
-one denominator, one transport vector per measure instead of one product per
-block of measures, one str per distance instead of gathered byte words) so
-agreement is meaningful.  Where a fast path kept the
-library's arithmetic and changed only its memory use or its sharing of work
-(the upper-triangle gnp draw, the float LU on a copy, the game basis solved
-with one elimination mod p per system, the inverse mod p that gave up on a
-column without a pivot, the elimination mod p on the whole of [A | I] one
-column at a time, the p-adic lift that stopped lifting each column once it
-was certified, the lift certified by one product after each reconstruction
-and on the rows outside the pivot block, the exact Bland simplex on its own
-list-of-Fractions tableau, the full-width simplex tableau, the battery as a list of `Measure`s with int64
-block products, JSON through the stdlib's indent=2 encoder, the game's basis
-pair as Fractions with one transport vector per certificate), the replaced
-code is kept here verbatim and must give identical results.
+Each kernel of the library is checked against at least one independent
+reference here: a different algorithm, usually in exact Python arithmetic,
+so that agreement is meaningful.  A fast path that kept the library's
+arithmetic and changed only its memory use or its sharing of work is
+checked against the code it replaced, kept here verbatim while no
+independent reference pins it.  `tests/mutants.py` shows that the tests
+built on these still fail when the kernels are broken.
+
+  kernel -> independent reference(s); replaced code kept, and why
+  - `metric.apsp` -> `floyd_warshall`
+  - `graphs.gnp` -> `gnp_triu`, the all-at-once draw: no independent
+    per-pair reference pins gnp's graphs
+  - `seeding.counter_values_np` -> `counter_value`, scalar SplitMix64
+  - `measures.Measure`, `sample_measures`, `verifier.measure_battery` ->
+    `measure_fraction`, `sample_measures_fraction`, `measure_battery_fraction`
+    (one Fraction per entry) and `measure_battery_measures`
+  - `verifier.transport_vector` and `verify_minimax`'s block products ->
+    `transport_vector_rowsum` (Python row sums) and
+    `verify_minimax_per_measure` (one transport vector per measure)
+  - `curvature.solve_exact`, `_eliminate_mod` and `dixon_lift` ->
+    `solve_system_fraction` and `solve_curvature_fraction` (Gaussian
+    elimination over Fractions), `bareiss_solve` (fraction-free) and
+    `solve_system_fraction_lstsq` (Cramer's rule); `eliminate_mod_int64`,
+    the elimination mod p one column at a time, is kept for ROADMAP item 4
+  - `curvature.solve_curvature_float` -> `solve_curvature_float_copied`, the
+    LU on a copy: it pins the bits of the float w
+  - `game.game_value` -> `game_value_float` (scipy's HiGHS) and
+    `simplex_bland_fraction` (Bland's rule on a list-of-Fractions tableau);
+    `simplex_basis_full` with `_nondegenerate_full` (the full-width
+    tableau), `basis_pair_fraction` and `certified_fraction` (the basis
+    pair and its certificate on Fractions) are kept for ROADMAP item 3
+  - `cli` output -> `dist_text_per_int` (one str per distance) and
+    `json_indent2` (the stdlib's indent=2 encoder)
 """
 
 from __future__ import annotations
@@ -46,20 +60,14 @@ from graphcurv import (
     VerificationReport,
     complete,
     curvature_bound,
-    measure_delta,
-    measure_uniform,
-    measure_uniform_on,
     transport_vector,
     validate,
 )
-from graphcurv.curvature import (FLOAT_PIVOT_FLOOR, LIFT_MAX_N, LIFT_PRIME, _certified_solve,
-                                 _eliminate_mod, _lift_steps, _primes, _reconstruct, dixon_lift,
-                                 solve_exact)
+from graphcurv.curvature import _RESIDUAL_ROWS, FLOAT_PIVOT_FLOOR, _certified_solve, dixon_lift
 from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL, GameSolution
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
 from graphcurv.seeding import counter_values_np, mix64
-from graphcurv.rationals import FLOAT_EXACT_MAX, INT64_MAX, exact_matmul
 from graphcurv.verifier import BATTERY_PAIR_LIMIT
 
 _MASK = (1 << 64) - 1
@@ -162,6 +170,11 @@ def measure_battery_fraction(
     return battery
 
 
+def measure_battery_measures(n: int, samples: int = 100, seed: int = 0) -> list[tuple[str, Measure]]:
+    """`measure_battery_fraction` as a list of (label, Measure) pairs."""
+    return [(label, Measure(p)) for label, p in measure_battery_fraction(n, samples, seed)]
+
+
 def verify_minimax_per_measure(
     D: DistanceMatrix,
     sol: CurvatureSolution,
@@ -222,68 +235,6 @@ def report_from_records(records: list[MeasureRecord], K: Fraction, nonneg: bool,
         upper_tight=column([r.upper_tight for r in records], bool),
         nonneg=nonneg, findings=tuple(findings),
     )
-
-
-def sample_measures_per_sample(n: int, count: int, seed: int) -> list[Measure]:
-    """`graphcurv.sample_measures` with one counter call and one
-    `Measure.from_weights` per sample.
-
-    This was the library's sampler before the samples were drawn as one
-    counter grid and reduced as one matrix.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    out = []
-    vertices = np.arange(n)
-    for i in range(count):
-        weights = (1 + counter_values_np(seed, vertices, i) % (1 << SAMPLE_WEIGHT_BITS)).tolist()
-        out.append(Measure.from_weights(weights))
-    return out
-
-
-def measure_battery_measures(n: int, samples: int = 100, seed: int = 0) -> list[tuple[str, Measure]]:
-    """`graphcurv.measure_battery` as a list of (label, Measure) pairs.
-
-    This was the library's battery before `graphcurv.Battery` held it as one
-    integer matrix.
-    """
-    battery: list[tuple[str, Measure]] = []
-    for v in range(n):
-        battery.append((f"delta:{v}", measure_delta(n, v)))
-    battery.append(("uniform", measure_uniform(n)))
-    if n <= BATTERY_PAIR_LIMIT:
-        for u, v in itertools.combinations(range(n), 2):
-            battery.append((f"uniform_on:{u},{v}", measure_uniform_on(n, (u, v))))
-    if samples > 0:
-        for i, mu in enumerate(sample_measures_per_sample(n, samples, seed)):
-            battery.append((f"sample:{i}", mu))
-    return battery
-
-
-def transport_block_int64(D: DistanceMatrix, block: list[Measure]) -> np.ndarray:
-    """N = D Q, exactly, for the n x k matrix Q of the block's numerators.
-
-    Column j of N is den_j times the transport vector of measure j.  Every
-    entry of N is at most max(D) * den_j, and every entry of Q at most
-    den_j, so N is one int64 product when max(D) times the block's largest
-    den fits int64, and a product on Python ints otherwise.
-
-    This was the library's block product before the float64 product
-    replaced its int64 branch.
-    """
-    fits = max(int(D.entries.max()), 1) * max(P.den for P in block) <= INT64_MAX
-    dtype = np.int64 if fits else object
-    Q = np.array([P.q for P in block], dtype=dtype).T
-    return D.entries.astype(dtype, copy=False) @ Q
-
-
-def battery_bounds_int64(D: DistanceMatrix, battery: list[Measure]):
-    """(A, B) per measure, in order, from one `transport_block_int64` per n measures."""
-    for start in range(0, len(battery), D.n):
-        block = battery[start:start + D.n]
-        N = transport_block_int64(D, block)
-        for P, lo, hi in zip(block, N.min(axis=0).tolist(), N.max(axis=0).tolist()):
-            yield Fraction(lo, P.den), Fraction(hi, P.den)
 
 
 def counter_value(seed: int, *counters: int) -> int:
@@ -365,73 +316,6 @@ def bareiss_solve(A: list[list[int]], b: list[int]) -> tuple[list[int], list[int
     return piv_cols, num, prev
 
 
-def inverse_mod(A: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of the square int64 matrix A modulo the prime p, or None if singular mod p.
-
-    This was the library's elimination kernel before `_eliminate_mod` skipped
-    the columns without a pivot instead of giving up.
-
-    Gauss-Jordan on [A | I], vectorised over rows.  Only the pivot column
-    and the pivot row are reduced before they are read; every other entry
-    takes one product below p^2 per step, so it stays below n p^2 < 2^63.
-    """
-    n = len(A)
-    M = np.zeros((n, 2 * n), dtype=np.int64)
-    M[:, :n] = A % p
-    M[:, n:] = np.eye(n, dtype=np.int64)
-    for k in range(n):
-        col = M[k:, k]
-        col %= p
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            return None
-        r = k + int(nz[0])
-        if r != k:
-            M[[k, r]] = M[[r, k]]
-        row = M[k, k:]
-        row %= p
-        row *= pow(int(row[0]), p - 2, p)
-        row %= p
-        f = M[:, k] % p
-        f[k] = 0
-        M[:, k:] -= np.outer(f, row)
-    return M[:, n:] % p
-
-
-def eliminate_mod_outer(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
-    """`curvature._eliminate_mod` as it was before its numpy calls were trimmed.
-
-    The rank-1 update is `np.outer`, the pivot search `np.flatnonzero`, and
-    the pivot count is read off `len(cols)`; the arithmetic is the same.
-    """
-    m, k = A.shape
-    M = np.zeros((m, k + m), dtype=A.dtype)
-    M[:, :k] = A % p
-    M[:, k:] = np.eye(m, dtype=A.dtype)
-    cols: list[int] = []
-    for c in range(k):
-        r = len(cols)
-        col = M[r:, c]
-        col %= p
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        row = M[r, c:]
-        row %= p
-        row *= pow(int(row[0]), p - 2, p)
-        row %= p
-        f = M[:, c] % p
-        f[r] = 0
-        M[:, c:] -= np.outer(f, row)
-        cols.append(c)
-    C = M[:len(cols), k:] % p
-    rows = np.flatnonzero(C.any(axis=0))
-    return rows.tolist(), cols, C if len(rows) == m else C[:, rows]
-
-
 def eliminate_mod_int64(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
     """`curvature._eliminate_mod` as it was before it eliminated in column panels.
 
@@ -465,167 +349,6 @@ def eliminate_mod_int64(A: np.ndarray, p: int) -> tuple[list[int], list[int], np
     C = M[:len(cols), k:] % p
     rows = np.flatnonzero(C.any(axis=0))
     return rows.tolist(), cols, C if len(rows) == m else C[:, rows]
-
-
-def holds_per_column(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]],
-                     bound: int) -> list[bool]:
-    """`curvature._holds` as it was when it answered column by column."""
-    if not sols:
-        return []
-    nums, dens = zip(*sols)
-    big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
-    N = exact_matmul(A, nums, big * max(1, bound) * max(1, A.shape[1]))
-    return (N == B * np.array(dens, dtype=N.dtype)).all(0).tolist()
-
-
-def dixon_lift_retiring(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
-    """`curvature.dixon_lift` as it was when a certified column stopped being lifted.
-
-    Each attempt certified the columns that reconstructed, and the rest went
-    on alone with their slices of R and of the expansions; the one-pass lift
-    must return the same solutions after the same steps.
-    """
-    n, k = B.shape
-    a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
-    steps = _lift_steps(n, a, beta, p)
-    c_bound, a_bound = n * (p - 1) ** 2, n * max(a, 1) * (p - 1)
-    C_float = A_float = None
-    if A.dtype != object:
-        C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
-        A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
-    sols: list = [None] * k
-    left = list(range(k))  # the columns still lifted, their right-hand sides and expansions so far
-    Bl, R, U = B, B, [[0] * n for _ in left]
-    pk = 1
-    attempt = 2
-    for step in range(1, steps + 1):
-        X = exact_matmul(C, (R % p).T, c_bound, C_float) % p
-        R = (R - exact_matmul(A, X.T, a_bound, A_float)) // p
-        U = [[ui + xi * pk for ui, xi in zip(u, x)] for u, x in zip(U, X.T.tolist())]
-        pk *= p
-        if step == attempt or step == steps:
-            attempt *= 2
-            cands = [_reconstruct(u, pk) for u in U]
-            found = [t for t, cand in enumerate(cands) if cand is not None]
-            sub = Bl if len(found) == len(left) else Bl[:, found]
-            for t, ok in zip(found, holds_per_column(A, sub, [cands[t] for t in found], max(a, beta))):
-                if ok:
-                    sols[left[t]] = cands[t]
-            keep = [t for t, j in enumerate(left) if sols[j] is None]
-            if not keep:
-                return sols
-            left, Bl, R, U = [left[t] for t in keep], Bl[:, keep], R[:, keep], [U[t] for t in keep]
-    raise HardVerificationError(
-        f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
-
-
-def holds(A: np.ndarray, B: np.ndarray, sols: list[tuple[list[int], int]], bound: int) -> bool:
-    """`curvature._holds` before each lift certified itself by exact divisions.
-
-    Whether A num_j == den_j B[:, j] exactly for every column j of B (True for none).
-
-    sols[j] = (num_j, den_j), and `bound` is at least every |entry| of A and
-    B, so cols(A) bound max(|num_j|, den_j) bounds every partial sum.
-    """
-    if not sols:
-        return True
-    nums, dens = zip(*sols)
-    big = max(max(dens), *(max(map(abs, num), default=0) for num in nums))
-    N = exact_matmul(A, nums, big * max(1, bound) * max(1, A.shape[1]))
-    return bool((N == B * np.array(dens, dtype=N.dtype)).all())
-
-
-def dixon_lift_holds(A: np.ndarray, C: np.ndarray, B: np.ndarray, p: int) -> list[tuple[list[int], int]]:
-    """`curvature.dixon_lift` when `holds` certified each reconstruction by one product.
-
-    num_j, den_j > 0 with A num_j = den_j B[:, j] exactly, by Dixon p-adic lifting.
-
-    A is square, C = A^-1 mod the prime p, and B has k columns; all three
-    share A's dtype.  Each step takes X = C (R mod p) mod p and
-    R <- (R - A X) / p, an exact division and one product for every column,
-    so sum_i X_i p^i solves A W = B modulo p^i (Dixon 1982).  Both products
-    go through `exact_matmul` under the bounds n (p-1)^2 and n max|A| (p-1),
-    on float64 copies of C and A made once per lift: up to LIFT_MAX_N the
-    first is always on the float64 tier.  Every column is lifted at every
-    step, since by Cramer's rule all share the denominator det A and one
-    Hadamard cap.  All are reconstructed (Wang, Guy & Davenport 1982) after
-    2, 4, 8, ... steps and at the cap `_lift_steps`, and returned once every
-    column's identity holds.  Failing that at the cap means the kernel is
-    wrong: HardVerificationError.
-    """
-    n, k = B.shape
-    a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
-    steps = _lift_steps(n, a, beta, p)
-    # every entry of C (R mod p) is below n (p-1)^2, and of A X below n a (p-1)
-    c_bound, a_bound = n * (p - 1) ** 2, n * max(a, 1) * (p - 1)
-    # float copies for exact_matmul's float64 tier, made once
-    C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
-    A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
-    R, U = B, [[0] * n for _ in range(k)]  # the residual and each column's expansion so far
-    pk = 1
-    attempt = 2
-    for step in range(1, steps + 1):
-        X = exact_matmul(C, (R % p).T, c_bound, C_float) % p
-        R = (R - exact_matmul(A, X.T, a_bound, A_float)) // p
-        U = [[ui + xi * pk for ui, xi in zip(u, x)] for u, x in zip(U, X.T.tolist())]
-        pk *= p
-        if step == attempt or step == steps:
-            attempt *= 2
-            sols = [_reconstruct(u, pk) for u in U]
-            if None not in sols and holds(A, B, sols, max(a, beta)):
-                return sols
-    raise HardVerificationError(
-        f"p-adic lifting reached its cap of {steps} steps mod {p} without a certified solution")
-
-
-def certified_solve_holds(
-    A: np.ndarray, b: list[int]
-) -> tuple[list[int], list[int] | None, int, tuple[np.ndarray, np.ndarray, int]]:
-    """`curvature._certified_solve` when `holds` checked the rows outside the pivot block.
-
-    `solve_exact`, plus (A, C, p) of the elimination it certified.
-
-    A is in the dtype the lift ran in.  When A has full rank C = A^-1 mod p,
-    so a caller can lift A^T on C^T without eliminating again.  For each
-    prime, [b_I | A[I, F]] is lifted on A[I, J] for the pivot rows I, pivot
-    columns J and free columns F.
-    """
-    A = A.astype(np.int64, copy=False)  # distances come as uint8 or uint16; p needs more
-    m, k = A.shape
-    size = max(m, k)
-    a = int(np.abs(A).max(initial=0))
-    # free columns of A join b on the right-hand side, so the lift's |R| stays
-    # below beta + 2 size a for beta = max(a, |b|), and R - A X below size p (2 a + beta)
-    beta = max([a, *map(abs, b)])
-    if size > LIFT_MAX_N or size * LIFT_PRIME * (2 * a + beta) > INT64_MAX:
-        A = A.astype(object)
-    bvec = np.array(b, dtype=A.dtype)
-    for p in _primes():
-        rows, cols, C = _eliminate_mod(A, p)
-        if len(cols) == m == k:  # full rank: the lift's certificate covers every row
-            (num, den), = dixon_lift_holds(A, C, bvec[:, None], p)
-            return cols, num, den, (A, C, p)
-        free = sorted(set(range(k)) - set(cols))
-        sub = A[np.ix_(rows, cols)]
-        rhs = np.column_stack([bvec[rows], A[np.ix_(rows, free)]])
-        (num, den), *nulls = dixon_lift_holds(sub, C, rhs, p)
-        # each free column j must lie in the span of the pivot columns left of
-        # it, on every row: then cols is the rank profile over Q
-        if any(x for j, (x_j, _) in zip(free, nulls) for c, x in zip(cols, x_j) if c > j):
-            continue
-        other = sorted(set(range(m)) - set(rows))
-        rest = A[np.ix_(other, cols)]
-        if not holds(rest, A[np.ix_(other, free)], nulls, beta):
-            continue
-        # the only candidate on the pivot rows must hold on the others too
-        if not holds(rest, bvec[other, None], [(num, den)], beta):
-            return cols, None, 1, (A, C, p)
-        full = [0] * k
-        for c, x in zip(cols, num):
-            full[c] = x
-        return cols, full, den, (A, C, p)
-    raise HardVerificationError("no prime certified the rank profile")
-
 
 
 def solve_system_fraction_lstsq(D: np.ndarray, n: int) -> list[Fraction] | None:
@@ -747,8 +470,9 @@ def gnp_triu(n: int, p: Fraction, seed: int) -> tuple[Graph, int]:
 def solve_curvature_float_copied(D: DistanceMatrix) -> FloatSolution | None:
     """The float LU solve on a C-order copy that LU copies again; None if singular.
 
-    This was the library's float solver before it factored in place: the
-    residual is taken from the whole float matrix at once.
+    This was the library's float solver before it factored in place.  The
+    residual is taken from the same blocks of _RESIDUAL_ROWS rows as the
+    library's, since its last bits depend on the block shape.
     """
     n = D.n
     A = D.entries.astype(np.float64)
@@ -760,37 +484,10 @@ def solve_curvature_float_copied(D: DistanceMatrix) -> FloatSolution | None:
     if u_diag.min() < FLOAT_PIVOT_FLOOR * n:
         return None
     w = scipy.linalg.lu_solve((lu, piv), rhs)
-    residual = float(np.abs(A @ w - rhs).max())
+    residual = max(float(np.abs(A[r:r + _RESIDUAL_ROWS] @ w - float(n)).max())
+                   for r in range(0, n, _RESIDUAL_ROWS))
     cond_hint = float(u_diag.min() / A.max()) if n > 1 else 1.0
     return FloatSolution(w=w, residual_inf=residual, condition_hint=cond_hint)
-
-
-def basis_pair_two_inverses(
-    M: np.ndarray, basis: list[int]
-) -> tuple[list[Fraction], list[Fraction]] | None:
-    """`graphcurv.game._basis_pair` with B and B^T each solved on its own elimination mod p.
-
-    This was the library's basis solve before one inverse served both.
-    """
-    n = len(M)
-    cols = [j for j in basis if j < n]
-    slack_rows = {j - n for j in basis if j >= n}
-    rows = [i for i in range(n) if i not in slack_rows]
-    B = M[np.ix_(rows, cols)]
-    pair = []
-    for A in (B, B.T):
-        piv, num, den = solve_exact(A, [1] * len(A))
-        if len(piv) < len(A):
-            return None
-        pair.append((num, den))
-    (z, den), (pi, pi_den) = pair
-    y = [Fraction(0)] * n
-    for j, zj in zip(cols, z):
-        y[j] = Fraction(zj, den)
-    duals = [Fraction(0)] * n
-    for i, pj in zip(rows, pi):
-        duals[i] = Fraction(pj, pi_den)
-    return y, duals
 
 
 def basis_pair_fraction(

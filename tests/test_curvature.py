@@ -30,12 +30,9 @@ from graphcurv import (
 from graphcurv import curvature
 from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, dixon_lift, solve_exact
 from graphcurv.rationals import FLOAT_EXACT_MAX
-import oracles
 from oracles import (
     bareiss_solve,
     eliminate_mod_int64,
-    eliminate_mod_outer,
-    inverse_mod,
     solve_curvature_float_copied,
     solve_curvature_fraction,
     solve_system_fraction,
@@ -202,11 +199,16 @@ class TestFloatSolver:
             old = float(np.abs(np.diagonal(lu)).min() / np.abs(A).max())
             assert solve_curvature_float(D).condition_hint == old, g
 
-    @pytest.mark.parametrize("spec", ["path:9", "cycle:11", "complete:6", "gnp:30,1/3", "path:300",
-                                      "cycle:301", "star:513", "gnp:600,1/60", "hypercube:4"])
-    def test_matches_copied_reference(self, spec):
-        # the in-place factorization and the blocked residual change no bit
-        D = apsp(parse_generator_spec(spec, seed=3))
+    COPIED_CASES = [(spec, 3) for spec in ("path:9", "cycle:11", "complete:6", "gnp:30,1/3",
+                                           "path:300", "cycle:301", "star:513", "gnp:600,1/60",
+                                           "hypercube:4")]
+    # with two BLAS threads the residual's maximum here depends on its row blocks
+    COPIED_CASES.append(("gnp:513,1/51", 1))
+
+    @pytest.mark.parametrize("spec,seed", COPIED_CASES, ids=[spec for spec, _ in COPIED_CASES])
+    def test_matches_copied_reference(self, spec, seed):
+        # the in-place factorization changes no bit
+        D = apsp(parse_generator_spec(spec, seed=seed))
         expected = solve_curvature_float_copied(D)
         if expected is None:
             with pytest.raises(NumericallySingularError):
@@ -386,11 +388,12 @@ class TestCertifiedRankProfile:
         assert list(curvature._primes()) == descending_primes(0, 9973)
 
 
-def _rank_mod(A: np.ndarray, p: int) -> int:
-    """Rank of A modulo the prime p, by row reduction on Python ints."""
+def _rank_profile_mod(A: np.ndarray, p: int) -> list[int]:
+    """The column rank profile of A modulo the prime p, by row reduction on Python ints."""
     R = [[int(x) % p for x in row] for row in A.tolist()]
-    rank = 0
+    profile = []
     for c in range(len(R[0])):
+        rank = len(profile)
         i = next((i for i in range(rank, len(R)) if R[i][c]), None)
         if i is None:
             continue
@@ -401,12 +404,19 @@ def _rank_mod(A: np.ndarray, p: int) -> int:
             if j != rank and R[j][c]:
                 f = R[j][c]
                 R[j] = [(x - f * y) % p for x, y in zip(R[j], R[rank])]
-        rank += 1
-    return rank
+        profile.append(c)
+    return profile
+
+
+def assert_inverts_block(A, p, rows, cols, C):
+    """C A[rows, cols] = I mod p, and cols is the column rank profile of A mod p."""
+    block = A[np.ix_(rows, cols)].astype(object)
+    assert np.array_equal(C.astype(object) @ block % p, np.eye(len(cols), dtype=int))
+    assert cols == _rank_profile_mod(A, p)
 
 
 class TestEliminateMod:
-    """The Gauss-Jordan kernel against the inverse it generalises."""
+    """The Gauss-Jordan kernel against the inverse it computes and the kernel before the panels."""
 
     # in int64, the dtype the exact solve hands the kernel: it computes in A's dtype
     MATRICES = [apsp(g).entries.astype(np.int64)
@@ -417,7 +427,6 @@ class TestEliminateMod:
         p = curvature.LIFT_PRIME
         rows, cols, C = _eliminate_mod(A, p)
         assert rows == cols == list(range(len(A)))
-        assert np.array_equal(C, inverse_mod(A, p))
         assert np.array_equal(A.astype(object) @ C.astype(object) % p, np.eye(len(A), dtype=int))
 
     @pytest.mark.parametrize("spec", ["cycle:40", "grid:5,8", "hypercube:7"])
@@ -429,11 +438,11 @@ class TestEliminateMod:
         A = {"all": A, "top rows": A[:half], "left columns": A[:, :half]}[part]
         p = curvature.LIFT_PRIME
         rows, cols, C = _eliminate_mod(A, p)
-        expected = eliminate_mod_outer(A, p)
+        expected = eliminate_mod_int64(A, p)
         assert (rows, cols) == expected[:2] and np.array_equal(C, expected[2])
         if part == "all":
             assert len(cols) < len(A)  # D is singular, so columns are skipped
-        assert np.array_equal(C, inverse_mod(A[np.ix_(rows, cols)], p))
+        assert_inverts_block(A, p, rows, cols, C)
 
     def test_python_ints_match_int64(self):
         A = self.MATRICES[2]
@@ -449,12 +458,8 @@ class TestEliminateMod:
     def test_rank_deficient_blocks_are_inverted(self, A, p):
         A = np.array(A, dtype=np.int64)
         rows, cols, C = _eliminate_mod(A, p)
-        assert rows == sorted(set(rows)) and cols == sorted(set(cols))
-        block = A[np.ix_(rows, cols)].astype(object)
-        assert np.array_equal(C.astype(object) @ block % p, np.eye(len(cols), dtype=int))
-        # cols is the rank profile mod p: each leading block of columns has the rank it counts
-        assert [sum(c < k for c in cols) for k in range(1, A.shape[1] + 1)] == [
-            _rank_mod(A[:, :k], p) for k in range(1, A.shape[1] + 1)]
+        assert rows == sorted(set(rows))
+        assert_inverts_block(A, p, rows, cols, C)
 
 
 def _panel_cases():
@@ -502,8 +507,9 @@ class TestPanelKernel:
         expected = eliminate_mod_int64(A, p)
         assert (rows, cols) == expected[:2]
         assert C.dtype == A.dtype and np.array_equal(C, expected[2])
+        # residues below p: a sum of at most 2 _PANEL + 1 products below p^2 fits int64
         block = (A[np.ix_(rows, cols)] % p).astype(np.int64)
-        assert np.array_equal(C, inverse_mod(block, p))
+        assert np.array_equal(C.astype(np.int64) @ block % p, np.eye(len(cols), dtype=np.int64))
         return rows, cols
 
     @pytest.mark.parametrize("p", [2, 3, 7, LIFT_PRIME])
@@ -625,15 +631,15 @@ class TestDixonLifting:
         assert solve_exact(np.array([[a]], dtype=np.int64), [beta]) == ([0], [beta], a)
 
     @staticmethod
-    def spy_moduli(monkeypatch, module=curvature):
+    def spy_moduli(monkeypatch):
         moduli = []
-        reconstruct = module._reconstruct
+        reconstruct = curvature._reconstruct
 
         def spy(u, m):
             moduli.append(m)
             return reconstruct(u, m)
 
-        monkeypatch.setattr(module, "_reconstruct", spy)
+        monkeypatch.setattr(curvature, "_reconstruct", spy)
         return moduli
 
     @settings(max_examples=80, deadline=None)
@@ -654,12 +660,7 @@ class TestDixonLifting:
         p = LIFT_PRIME
         _, cols, C = _eliminate_mod(A, p)
         assume(len(cols) == n)  # nonsingular mod p, so over Q too, and C = A^-1 mod p
-        with pytest.MonkeyPatch.context() as mp:
-            joint, retiring = self.spy_moduli(mp), self.spy_moduli(mp, oracles)
-            sols = dixon_lift(A, C, B, p)
-            assert sols == oracles.dixon_lift_retiring(A, C, B, p)
-        # the same attempts, so the same number of steps, as lifting until each column is certified
-        assert sorted(set(joint)) == sorted(set(retiring))
+        sols = dixon_lift(A, C, B, p)
         assert sols == [dixon_lift(A, C, B[:, [j]], p)[0] for j in range(k)]
         for j, (num, den) in enumerate(sols):
             status, _, x = solve_system_fraction(A.tolist(), B[:, j].tolist())
@@ -680,30 +681,19 @@ class TestDixonLifting:
 
     @settings(max_examples=120, deadline=None)
     @given(tall_systems())
-    def test_tall_lift_matches_oracle_and_old_kernel(self, system):
+    def test_tall_lift_matches_oracle(self, system):
         A, B = system
-        (m, r), k, p = A.shape, B.shape[1], LIFT_PRIME
+        (m, r), p = A.shape, LIFT_PRIME
         rows, cols, C = _eliminate_mod(A, p)
         assume(len(cols) == r)  # full column rank mod p, so over Q too
         other = sorted(set(range(m)) - set(rows))
-        with pytest.MonkeyPatch.context() as mp:
-            moduli, old_moduli = self.spy_moduli(mp), self.spy_moduli(mp, oracles)
-            sols = dixon_lift(A[rows + other], C, B[rows + other], p)
-            # the replaced kernel: lift the pivot rows, then one product on the rows below
-            bound = max(int(np.abs(A).max()), int(np.abs(B).max()))
-            old = [sol if oracles.holds(A[other], B[other][:, [j]], [sol], bound) else None
-                   for j, sol in enumerate(oracles.dixon_lift_holds(A[rows], C, B[rows], p))]
-        assert sols == old
+        sols = dixon_lift(A[rows + other], C, B[rows + other], p)
         padded = np.hstack([A, np.zeros((m, m - r), dtype=A.dtype)]).tolist()  # square, for the oracle
         for j, sol in enumerate(sols):
             status, _, x = solve_system_fraction(padded, B[:, j].tolist())
             assert (sol is None) == (status is SolveStatus.INCONSISTENT)
             if sol is not None:
                 assert sol[1] > 0 and tuple(Fraction(v, sol[1]) for v in sol[0]) == x[:r]
-        # the cap now covers the rows below too; short of it, the same attempts as the replaced kernel
-        old_cap = curvature._lift_steps(r, int(np.abs(A[rows]).max()), int(np.abs(B[rows]).max()), p)
-        if None not in sols and old_moduli[-1] < p**old_cap:
-            assert moduli == old_moduli
 
     def test_rank_zero_and_boundary_systems(self, monkeypatch):
         p = LIFT_PRIME
@@ -718,17 +708,6 @@ class TestDixonLifting:
         moduli.clear()
         assert solve_exact(np.array([[1], [1]], dtype=np.int64), [0, p**2]) == ([0], None, 1)
         assert moduli == [p**2]
-
-    def test_holds_answers_for_every_column_at_once(self):
-        A = np.array([[2, 1], [1, 3]], dtype=np.int64)
-        B = np.array([[3, 5, 0], [4, 1, 0]], dtype=np.int64)
-        sols = [([1, 1], 1), ([14, -3], 5), ([0, 0], 1)]
-        assert oracles.holds(A, B, sols, 5) is True
-        assert oracles.holds(A, B[:, :0], [], 5) is True
-        for j in range(3):
-            wrong = list(sols)
-            wrong[j] = ([sols[j][0][0] + 1, sols[j][0][1]], sols[j][1])
-            assert oracles.holds(A, B, wrong, 5) is False
 
     def test_uncertified_candidates_raise(self, monkeypatch):
         monkeypatch.setattr(curvature, "_reconstruct", lambda u, m: ([3, 1, 3], 2))

@@ -2,7 +2,7 @@ import dataclasses
 import functools
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -32,9 +32,8 @@ from graphcurv import (
 )
 from graphcurv import curvature, game, rationals
 import oracles
-from oracles import (bareiss_solve, basis_pair_fraction, basis_pair_two_inverses,
-                     certified_fraction, game_value_float, simplex_basis_full,
-                     simplex_bland_fraction)
+from oracles import (bareiss_solve, basis_pair_fraction, certified_fraction, game_value_float,
+                     simplex_basis_full, simplex_bland_fraction)
 from test_curvature import small_primes_first
 
 
@@ -569,12 +568,23 @@ class TestBasisPair:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_two_inverses(self, spec):
+        # y = den B^-1 1 and pi = pi_den B^-T 1 for the basis block B = M[R, Y], zero
+        # elsewhere and in lowest terms, by one Python-int product each
         M = apsp(parse_generator_spec(spec, seed=1)).entries + 1
+        n = len(M)
         bases = [game._simplex_basis(M, steepest) for steepest in (True, False)]
         bases = [b for b in bases if b is not None]
         assert bases
         for basis in bases:
-            assert game._basis_pair(M, basis) == integer_pair(*basis_pair_two_inverses(M, basis))
+            (y, den), (pi, pi_den) = game._basis_pair(M, basis)
+            cols = [j for j in basis if j < n]
+            rows = sorted(set(range(n)) - {j - n for j in basis if j >= n})
+            B = M[np.ix_(rows, cols)].astype(object)
+            assert (B @ np.array([y[j] for j in cols], dtype=object) == den).all()
+            assert (B.T @ np.array([pi[i] for i in rows], dtype=object) == pi_den).all()
+            assert not any(y[j] for j in set(range(n)) - set(cols))
+            assert not any(pi[i] for i in set(range(n)) - set(rows))
+            assert den > 0 and pi_den > 0 and gcd(den, *y) == 1 == gcd(pi_den, *pi)
 
     @pytest.mark.parametrize("spec,size", [("cycle:39", 39), ("gnp:120,1/12", 18)])
     def test_one_inverse(self, spec, size, monkeypatch):
@@ -622,7 +632,7 @@ def matches_fraction_oracle(D, basis):
 class TestIntegerPair:
     """The pair as integer numerators against the Fraction pair and certificate it replaced."""
 
-    @pytest.mark.parametrize("spec,seed", TestCondensedTableau.SPECS)
+    @pytest.mark.parametrize("spec,seed", TestCondensedTableau.SPECS + [("cycle:201", 1)])
     def test_benchmark_specs(self, spec, seed, monkeypatch):
         D = apsp(parse_generator_spec(spec, seed=seed))
         M = D.entries + 1

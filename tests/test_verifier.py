@@ -38,7 +38,6 @@ from graphcurv import (
 from graphcurv import game, verifier
 from graphcurv.rationals import FLOAT_EXACT_MAX, INT64_MAX
 from oracles import (
-    battery_bounds_int64,
     measure_battery_fraction,
     measure_battery_measures,
     transport_vector_rowsum,
@@ -239,7 +238,7 @@ class TestVerifyMinimax:
             assert report == verify_minimax_per_measure(D, sol, labelled), g
             assert report.labels[1] == "measure:1" and report.labels[3] == labelled[3][0]
 
-    def test_bounds_match_int64_blocks(self):
+    def test_bounds_match_row_sums(self):
         graphs = small_families() + [gnp(40, Fraction(1, 5), 1)[0], path(30)]
         for g in graphs:
             D, sol = solved(g)
@@ -247,15 +246,16 @@ class TestVerifyMinimax:
                 continue
             battery = measure_battery_measures(g.n, samples=2 * g.n, seed=6)
             report = verify_minimax(D, sol, battery)
-            expected = list(battery_bounds_int64(D, [mu for _, mu in battery]))
+            expected = [(min(dp), max(dp))
+                        for dp in (transport_vector_rowsum(D, mu) for _, mu in battery)]
             assert [(r.A, r.B) for r in report.records] == expected, g
 
     # one column per block, and 2000 bytes: n columns up to n = 15, then
     # blocks of 2000 // (8 n) columns
     @pytest.mark.parametrize("block_bytes", [1, 2000])
-    def test_bounds_match_int64_in_narrow_blocks(self, monkeypatch, block_bytes):
+    def test_bounds_match_row_sums_in_narrow_blocks(self, monkeypatch, block_bytes):
         monkeypatch.setattr(verifier, "_BLOCK_BYTES", block_bytes)
-        self.test_bounds_match_int64_blocks()
+        self.test_bounds_match_row_sums()
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_float_product_guard_at_2_pow_53(self, extra):
@@ -318,7 +318,10 @@ class TestVerifyMinimax:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * g.n ** 2
-        expected = list(battery_bounds_int64(D, [mu for _, mu in battery]))
+        # against one unblocked product on Python ints
+        N = D.entries.astype(object) @ battery.num.T.astype(object)
+        expected = [(Fraction(lo, d), Fraction(hi, d))
+                    for lo, hi, d in zip(N.min(axis=0), N.max(axis=0), battery.den.tolist())]
         assert [(r.A, r.B) for r in report.records] == expected
 
     def test_hard_errors_match_per_measure(self):

@@ -132,8 +132,11 @@ def _load_graph(args) -> Graph:
         return parse_generator_spec(src, seed=args.seed)
     if not os.path.exists(src):
         raise GraphInputError(f"no such file: {src}")
-    with open(src, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        with open(src, encoding="utf-8") as fh:
+            return parse_edge_list(fh.read())
+    except (OSError, UnicodeDecodeError) as e:  # a directory, no permission, not UTF-8
+        raise GraphInputError(f"cannot read {src}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite simple undirected graphs: representation, parsing, generators.
 
-Vertices are always 0-based integers.  Graph values are immutable after
+Vertices are always 0-based integers.  A `Graph` is its sorted CSR arrays,
+which `metric.apsp` reads as they are.  Graph values are immutable after
 construction and safe to share between threads.
 """
 
@@ -24,43 +25,62 @@ GNP_BLOCK = 1 << 15
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency lists."""
+    """Simple undirected graph on vertices 0..n-1, as read-only int64 CSR arrays.
 
-    __slots__ = ("n", "adjacency")
+    v's neighbours are indices[indptr[v]:indptr[v + 1]], ascending.  `edges`
+    is an (m, 2) integer array or any iterable of pairs, repeats allowed.
+    """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    __slots__ = ("n", "indptr", "indices")
+
+    def __init__(self, n: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphInputError(f"vertex count must be positive, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            e = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        except OverflowError:  # an index beyond int64: checked as Python ints
+            e = np.asarray(pairs, dtype=object).reshape(len(pairs), 2)
+        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1]))
+        if bad.size:  # the first offending edge, its range before a self-loop
+            u, v = e[bad[0]].tolist()
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphInputError(f"vertex index out of range in edge ({u}, {v}), n={n}")
-            if u == v:
-                raise GraphInputError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            raise GraphInputError(f"self-loop at vertex {u}")
+        # one key v n + w per orientation, sorted, repeats dropped; np.unique would
+        # map about 1 MB more resident memory on its first call
+        keys = np.sort(np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0])))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         self.n = n
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.indices = keys % n
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbour tuples, built on each access."""
+        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @property
     def m(self) -> int:
-        return sum(len(nb) for nb in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
+        u = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return zip(u[u < self.indices].tolist(), self.indices[u < self.indices].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adjacency == other.adjacency
+        # indices holds each vertex deg(v) times, so with n it fixes indptr
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.indices, other.indices))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adjacency))
+        return hash((self.n, self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -87,6 +107,7 @@ def validate(g: Graph) -> ValidationReport:
 
 def _bfs_reachable(g: Graph, source: int) -> tuple[set[int], int]:
     """The vertices reachable from source, and the largest BFS level among them."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     seen = {source}
     frontier = [source]
     depth = -1
@@ -94,7 +115,7 @@ def _bfs_reachable(g: Graph, source: int) -> tuple[set[int], int]:
         depth += 1
         nxt = []
         for u in frontier:
-            for v in g.adjacency[u]:
+            for v in indices[indptr[u]:indptr[u + 1]]:
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -123,12 +144,9 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         raise GraphInputError(f"header promises {m} edges, found {len(rows) - 1} edge lines")
     edges = []
     for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphInputError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            u, v = map(int, ln.split())
+        except ValueError:  # not two integers
             raise GraphInputError(f"malformed edge line {ln!r}") from None
         edges.append((u, v))
     return Graph(n, edges)
@@ -147,43 +165,37 @@ def serialize(g: Graph) -> str:
 
 def path(n: int) -> Graph:
     _require(n >= 1, f"path needs n >= 1, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
 
 def cycle(n: int) -> Graph:
     _require(n >= 3, f"cycle needs n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, np.column_stack((np.arange(n), np.arange(1, n + 1) % n)))
 
 
 def complete(n: int) -> Graph:
     _require(n >= 1, f"complete needs n >= 1, got {n}")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
     _require(n >= 2, f"star needs n >= 2, got {n}")
-    return Graph(n, [(0, i) for i in range(1, n)])
+    return Graph(n, np.column_stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n))))
 
 
 def hypercube(d: int) -> Graph:
     _require(1 <= d <= 20, f"hypercube needs 1 <= d <= 20, got {d}")
-    n = 1 << d
-    return Graph(n, [(x, x ^ (1 << b)) for x in range(n) for b in range(d) if x < x ^ (1 << b)])
+    x, bit = np.arange(1 << d).repeat(d), np.tile(1 << np.arange(d), 1 << d)
+    return Graph(1 << d, np.column_stack((x, x | bit))[x & bit == 0])
 
 
 def grid(rows: int, cols: int) -> Graph:
     _require(rows >= 1 and cols >= 1, f"grid needs positive dimensions, got {rows}x{cols}")
-    def idx(r, c):
-        return r * cols + c
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((idx(r, c), idx(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((idx(r, c), idx(r + 1, c)))
-    return Graph(rows * cols, edges)
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    horizontal = np.column_stack((idx[:, :-1].ravel(), idx[:, 1:].ravel()))
+    vertical = np.column_stack((idx[:-1].ravel(), idx[1:].ravel()))
+    return Graph(rows * cols, np.concatenate((horizontal, vertical)))
 
 
 def gnp(n: int, p: Fraction, seed: int) -> tuple[Graph, int]:
@@ -208,15 +220,15 @@ def gnp(n: int, p: Fraction, seed: int) -> tuple[Graph, int]:
     offsets = rows * n - rows * (rows + 1) // 2  # counter of pair (i, i + 1)
     pairs = n * (n - 1) // 2
     for retry in range(GNP_MAX_RETRIES):
-        edges: list[tuple[int, int]] = []
+        blocks = [np.empty(0, dtype=np.int64)]  # the kept counters of each block
         for start in range(0, pairs if threshold > 0 else 0, GNP_BLOCK):
             counters = np.arange(start, min(start + GNP_BLOCK, pairs), dtype=np.uint64)
             kept = np.flatnonzero(counter_values_np(seed, counters, retry) < np.uint64(threshold))
-            kept += start
-            i = np.searchsorted(offsets, kept, side="right") - 1
-            j = kept - offsets[i] + i + 1
-            edges.extend(zip(i.tolist(), j.tolist()))
-        g = Graph(n, edges)
+            blocks.append(kept + start)
+        kept = np.concatenate(blocks)
+        i = np.searchsorted(offsets, kept, side="right") - 1
+        j = kept - offsets[i] + i + 1
+        g = Graph(n, np.column_stack((i, j)))
         if validate(g).connected:
             return g, retry
     raise GraphInputError(
@@ -224,24 +236,19 @@ def gnp(n: int, p: Fraction, seed: int) -> tuple[Graph, int]:
     )
 
 
-_FAMILIES = ("path", "cycle", "complete", "star", "hypercube", "grid", "gnp")
-
-
 def generate(family: str, params: Sequence[int | Fraction], seed: int = 0) -> Graph:
     """Factory over the named families; see the per-family helpers."""
-    if family not in _FAMILIES:
-        raise GraphInputError(f"unknown family {family!r}, expected one of {_FAMILIES}")
-    try:
-        if family == "gnp":
-            n, p = params
-            return gnp(int(n), Fraction(p), seed)[0]
-        ints = [int(x) for x in params]
-        if family == "grid":
-            return grid(*ints)
-        return {"path": path, "cycle": cycle, "complete": complete,
-                "star": star, "hypercube": hypercube}[family](*ints)
-    except TypeError:
-        raise GraphInputError(f"wrong parameter count for {family}: {params!r}") from None
+    families = {"path": path, "cycle": cycle, "complete": complete, "star": star,
+                "hypercube": hypercube, "grid": grid, "gnp": gnp}
+    if family not in families:
+        raise GraphInputError(f"unknown family {family!r}, expected one of {tuple(families)}")
+    if len(params) != (2 if family in ("grid", "gnp") else 1):
+        raise GraphInputError(f"wrong parameter count for {family}: {params!r}")
+    for x in params[:1] if family == "gnp" else params:
+        _require(Fraction(x).denominator == 1, f"{family} sizes must be integers, got {x}")
+    if family == "gnp":
+        return gnp(int(params[0]), Fraction(params[1]), seed)[0]
+    return families[family](*map(int, params))
 
 
 def parse_generator_spec(spec: str, seed: int = 0) -> Graph:

@@ -12,7 +12,7 @@ only there; scipy's float64 rows come in blocks of sources, each written
 straight into the narrow D.  Either way D comes back in
 np.min_scalar_type(diameter), uint8 up to 255 and uint16 up to 65,535, with
 no n x n float64 made; the exact solve and the game widen it to int64 where
-their arithmetic needs it.
+their arithmetic needs it.  Every search reads the graph's own CSR arrays.
 """
 
 from __future__ import annotations
@@ -69,16 +69,6 @@ def apsp(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(n=g.n, entries=entries)
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the adjacency lists."""
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(g.adjacency), dtype=np.int64,
-                          count=int(indptr[-1]))
-    return indptr, indices
-
-
 def _bitbfs(g: Graph) -> np.ndarray:
     """Distances of a connected graph by multi-source bit-parallel BFS, in the narrowest dtype.
 
@@ -90,16 +80,15 @@ def _bitbfs(g: Graph) -> np.ndarray:
     no n^2 temporary is made.
     """
     n = g.n
-    indptr, indices = _csr(g)
-    deg = np.diff(indptr)
+    deg = np.diff(g.indptr)
     order = np.argsort(-deg, kind="stable")  # new row -> vertex
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)  # vertex -> new row
     words = -(-n // 64)
     # neighbour rows sorted by (slot, row): slot j lists rows 0..counts[j]-1 in order
-    slot = np.arange(len(indices)) - np.repeat(indptr[:-1], deg)
+    slot = np.arange(len(g.indices)) - np.repeat(g.indptr[:-1], deg)
     rows = rank[np.repeat(np.arange(n), deg)]
-    nbr = rank[indices][np.lexsort((rows, slot))]
+    nbr = rank[g.indices][np.lexsort((rows, slot))]
     # gathers: one slot, or a run of slots with equal counts as a (count, slots) array
     gathers = []
     start = 0
@@ -165,8 +154,7 @@ def _dijkstra(g: Graph) -> np.ndarray:
     from scipy.sparse.csgraph import shortest_path
 
     n = g.n
-    indptr, indices = _csr(g)
-    adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    adj = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices, g.indptr), shape=(n, n))
     D = np.empty((n, n), dtype=np.min_scalar_type(n - 1))  # every distance is below n
     step = max(1, _BLOCK_CELLS // n)
     for r0 in range(0, n, step):

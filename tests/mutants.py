@@ -30,6 +30,9 @@ Left out on purpose, because each changes no output:
   - `metric._bitbfs` with a cumulative frontier (the `unseen` mask already
     drops every bit set before), and with gathers of two slots per run (the
     OR of the same rows in another grouping).
+  - `graphs.hypercube` without its `x & bit == 0` filter: the reverse
+    orientations it then passes are folded back by the constructor's
+    deduplication.
 `__init__.py` only re-exports names: dropping one breaks test collection,
 which counts as an error here, not as a kill, so no mutant is listed for it.
 """
@@ -66,6 +69,7 @@ VERIF = "tests/test_verifier.py::"
 MEAS = "tests/test_measures.py::"
 METRIC = "tests/test_metric.py::"
 CLI = "tests/test_cli.py::"
+GRAPHS = "tests/test_graphs.py::"
 
 MUTANTS = [
     # curvature: the lift
@@ -81,6 +85,9 @@ MUTANTS = [
     Mutant("fits-no-congruence", "curvature.py",
            "< pk and all(\n        (den * x - y) % pk == 0 for x, y in zip(u, num))", "< pk",
            (CURV + "TestDixonLifting::test_uncertified_candidates_raise",)),
+    Mutant("lift-cap-hadamard-squared", "curvature.py",
+           "while pk <= 2 * h2:", "while pk <= h2:",
+           (CURV + "TestDixonLifting::test_cap_is_the_first_step_past_twice_hadamard_squared",)),
     Mutant("lift-cap-on-r", "curvature.py",
            "_lift_steps(r + (m > r), a, beta, p)", "_lift_steps(r, a, beta, p)",
            (CURV + "TestDixonLifting::test_rank_zero_and_boundary_systems",)),
@@ -171,7 +178,20 @@ MUTANTS = [
     # graphs
     Mutant("gnp-column-off-by-one", "graphs.py",
            "j = kept - offsets[i] + i + 1", "j = kept - offsets[i] + i + 2",
-           ("tests/test_graphs.py::TestGnp::test_matches_triu_reference",)),
+           (GRAPHS + "TestGnp::test_matches_triu_reference",)),
+    Mutant("csr-one-orientation", "graphs.py",
+           "np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]))",
+           "e[:, 0] * n + e[:, 1]",
+           (GRAPHS + "TestCsrConstructor::test_pair_lists_match_set_constructor",)),
+    Mutant("csr-no-dedup", "graphs.py",
+           "keys = keys[np.diff(keys, prepend=-1) != 0]", "pass",
+           (GRAPHS + "TestCsrConstructor::test_parser_matches_set_constructor",)),
+    Mutant("grid-no-vertical-edges", "graphs.py",
+           "np.concatenate((horizontal, vertical))", "horizontal",
+           (GRAPHS + "TestCsrConstructor::test_generators_match_set_constructor",)),
+    Mutant("first-error-last", "graphs.py",
+           "e[bad[0]]", "e[bad[-1]]",
+           (GRAPHS + "TestCsrConstructor::test_parser_matches_set_constructor",)),
     # errors
     Mutant("disconnected-pair-reversed", "errors.py",
            "self.unreachable_pair = (u, v)", "self.unreachable_pair = (v, u)",

@@ -9,6 +9,8 @@ independent reference pins it.  `tests/mutants.py` shows that the tests
 built on these still fail when the kernels are broken.
 
   kernel -> independent reference(s); replaced code kept, and why
+  - `graphs.Graph` and the generators -> `adjacency_sets`, the per-vertex
+    set constructor, and `family_edges`, the generators' Python loops
   - `metric.apsp` -> `floyd_warshall`
   - `graphs.gnp` -> `gnp_triu`, the all-at-once draw: no independent
     per-pair reference pins gnp's graphs
@@ -74,13 +76,49 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def adjacency_sets(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour tuples of a graph, by one Python set per vertex.
+
+    This was the library's Graph constructor before the CSR arrays replaced
+    it; it raises the same GraphInputErrors, for the first offending edge.
+    """
+    if n < 1:
+        raise GraphInputError(f"vertex count must be positive, got {n}")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in (edges.tolist() if isinstance(edges, np.ndarray) else edges):
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise GraphInputError(f"vertex index out of range in edge ({u}, {v}), n={n}")
+        if u == v:
+            raise GraphInputError(f"self-loop at vertex {u}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def family_edges(family: str, *params: int) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) of a deterministic generator family, by the library's old Python loops."""
+    if family == "grid":
+        rows, cols = params
+        edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+        return rows * cols, edges
+    (k,) = params
+    if family == "hypercube":
+        n = 1 << k
+        return n, [(x, x ^ (1 << b)) for x in range(n) for b in range(k) if x < x ^ (1 << b)]
+    return k, {"path": [(i, i + 1) for i in range(k - 1)],
+               "cycle": [(i, (i + 1) % k) for i in range(k)],
+               "complete": [(i, j) for i in range(k) for j in range(i + 1, k)],
+               "star": [(0, i) for i in range(1, k)]}[family]
+
+
 def floyd_warshall(g: Graph) -> np.ndarray:
     """All-pairs shortest paths by the triple loop; inf stays for unreachable."""
     n = g.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for u in range(n):
-        for v in g.adjacency[u]:
+    for u, nbrs in enumerate(g.adjacency):
+        for v in nbrs:
             dist[u, v] = 1.0
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])

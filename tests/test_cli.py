@@ -177,6 +177,19 @@ def test_dist_matches_golden(spec, fmt, ext):
     assert result.stdout == expected
 
 
+# spec -> tests/data/gen_<spec>.txt, written by the set-based Graph constructor
+GEN_GOLDEN_SPECS = ["grid:3,4", "hypercube:3"]
+
+
+@pytest.mark.parametrize("spec", GEN_GOLDEN_SPECS)
+def test_gen_matches_golden(spec):
+    name = f"gen_{spec.replace(':', '_').replace(',', '_')}.txt"
+    expected = (Path(__file__).parent / "data" / name).read_bytes()
+    result = subprocess.run([sys.executable, "-m", "graphcurv.cli", "gen", "--input", spec],
+                            env=src_env(), capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr, result.stdout) == (0, b"", expected)
+
+
 class TestCurvature:
     def test_exact_star4(self, capsys, schema):
         doc = run_json(capsys, schema, "curvature", "--input", "star:4")
@@ -389,6 +402,30 @@ class TestExitCodes:
     def test_bad_spec(self, capsys):
         code, _, _ = run(capsys, "dist", "--input", "blah:3")
         assert code == 2
+
+    @pytest.mark.parametrize("spec,message", [
+        ("path:5/2", "path sizes must be integers, got 5/2"),
+        ("hypercube:3/2", "hypercube sizes must be integers, got 3/2"),
+        ("gnp:10/3,1/2", "gnp sizes must be integers, got 10/3"),
+        ("grid:3,7/2", "grid sizes must be integers, got 7/2"),
+        ("gnp:3,1/2,7", "wrong parameter count for gnp"),
+        ("gnp:3", "wrong parameter count for gnp"),
+        ("grid:3", "wrong parameter count for grid"),
+        ("path:3,4", "wrong parameter count for path"),
+    ])
+    def test_bad_generator_parameters(self, capsys, spec, message):
+        code, out, err = run(capsys, "gen", "--input", spec)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen", "--input", str(tmp_path))
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_input_not_utf8(self, capsys, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_bytes(b"\xff3 2\n0 1\n1 2\n")
+        code, out, err = run(capsys, "dist", "--input", str(f))
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read {f}: ")
 
     def test_disconnected(self, capsys, tmp_path):
         f = tmp_path / "g.edges"

@@ -630,6 +630,21 @@ class TestDixonLifting:
         assert early is not None and Fraction(early[0][0], early[1]) != Fraction(beta, a)
         assert solve_exact(np.array([[a]], dtype=np.int64), [beta]) == ([0], [beta], a)
 
+    @pytest.mark.parametrize("k,a", [(3, 718), (5, 72492), (6, 728533), (9, 739488091)])
+    def test_cap_is_the_first_step_past_twice_hadamard_squared(self, k, a, monkeypatch):
+        # a x = a - 1 mod 101: H^2 = a^2 + (a - 1)^2 < 101^k < 2 a^2, so k steps
+        # pass H^2 yet reconstruct no denominator as large as a; only the cap
+        # k + 1, the first step past 2 H^2, certifies x = (a - 1) / a
+        p = 101
+        assert a * a + (a - 1) ** 2 < p ** k < 2 * a * a
+        A, B = np.array([[a]]), np.array([[a - 1]])
+        C = np.array([[pow(a, -1, p)]])
+        assert curvature._lift_steps(1, a, a - 1, p) == k + 1
+        assert dixon_lift(A, C, B, p) == [([a - 1], a)]
+        monkeypatch.setattr(curvature, "_lift_steps", lambda *args: k)
+        with pytest.raises(HardVerificationError, match=f"cap of {k} steps"):
+            dixon_lift(A, C, B, p)
+
     @staticmethod
     def spy_moduli(monkeypatch):
         moduli = []

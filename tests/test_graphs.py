@@ -1,7 +1,9 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcurv import (
     Graph,
@@ -19,7 +21,8 @@ from graphcurv import (
     star,
     validate,
 )
-from oracles import gnp_triu
+from graphcurv import graphs
+from oracles import adjacency_sets, family_edges, gnp_triu
 
 
 class TestParsing:
@@ -102,11 +105,12 @@ class TestGenerators:
             report = validate(g)
             assert report.connected, g
             assert report.m == g.m
-            for u in range(g.n):
-                assert g.adjacency[u] == tuple(sorted(set(g.adjacency[u])))
-                assert u not in g.adjacency[u]
-                for v in g.adjacency[u]:
-                    assert u in g.adjacency[v]
+            adjacency = g.adjacency
+            for u, nbrs in enumerate(adjacency):
+                assert nbrs == tuple(sorted(set(nbrs)))
+                assert u not in nbrs
+                for v in nbrs:
+                    assert u in adjacency[v]
 
     @pytest.mark.parametrize("family,params", [
         ("path", [0]), ("cycle", [2]), ("complete", [0]), ("star", [1]),
@@ -116,6 +120,110 @@ class TestGenerators:
     def test_invalid_parameters(self, family, params):
         with pytest.raises(GraphInputError):
             generate(family, params)
+
+
+FAMILY_SPECS = ["path:1", "path:2", "path:9", "cycle:3", "cycle:10", "complete:1", "complete:2",
+                "complete:8", "star:2", "star:9", "hypercube:1", "hypercube:4", "grid:1,1",
+                "grid:1,6", "grid:5,1", "grid:3,4", "grid:4,7", "gnp:1,0", "gnp:5,1", "gnp:12,1/3",
+                "gnp:40,1/5"]
+# edge-list files: duplicates in both orientations, comments, and offending
+# edges, two of them in either order, with indices within and beyond int64
+EDGE_FILES = [
+    "3 2\n0 1\n1 2", "# a comment\n5 7\n0 1\n1 0\n1 2\n\n  2 3 \n3 4\n0 1\n4 0\n", "4 0",
+    "3 1\n0 3", "3 1\n0 0", "3 1\n-1 -1", "3 2\n1 1\n0 3", "3 2\n0 3\n1 1", "3 1\n5 5",
+    f"3 2\n1 1\n0 {2 ** 70}", f"3 2\n0 {2 ** 70}\n1 1", f"3 1\n{-2 ** 70} 0", f"3 1\n0 {2 ** 63}",
+    f"3 2\n0 1\n{2 ** 70} {2 ** 70}",
+]
+
+
+def outcome(build):
+    """build()'s value, or the message of the GraphInputError it raised."""
+    try:
+        return build()
+    except GraphInputError as e:
+        return str(e)
+
+
+@st.composite
+def pair_lists(draw):
+    """n and a list of edges, each repeated any number of times in either orientation."""
+    n = draw(st.integers(2, 10))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=20))
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=20))
+        pairs += [(v, u) if flip else (u, v) for (u, v), flip in repeats]
+    return n, draw(st.permutations(pairs))
+
+
+class TestCsrConstructor:
+    """The CSR constructor against the per-vertex set constructor it replaced."""
+
+    def test_slots_and_read_only_arrays(self):
+        g = grid(2, 3)
+        assert Graph.__slots__ == ("n", "indptr", "indices")
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.indices[0] = 2
+        with pytest.raises(ValueError):
+            g.indptr[1] = 0
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_generators_match_set_constructor(self, spec, monkeypatch):
+        built = []
+
+        def recording(n, edges):
+            built.append((n, edges))
+            return Graph(n, edges)
+
+        monkeypatch.setattr(graphs, "Graph", recording)
+        g = parse_generator_spec(spec, seed=3)
+        monkeypatch.undo()
+        assert built and all(isinstance(edges, np.ndarray) for _, edges in built)
+        for n, edges in built:
+            assert Graph(n, edges).adjacency == adjacency_sets(n, edges)
+        family, _, params = spec.partition(":")
+        if family != "gnp":
+            n, edges = family_edges(family, *map(int, params.split(",")))
+            assert g == Graph(n, edges) and g.adjacency == adjacency_sets(n, edges)
+
+    @pytest.mark.parametrize("text", EDGE_FILES)
+    def test_parser_matches_set_constructor(self, text):
+        rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        n, pairs = int(rows[0][0]), [(int(u), int(v)) for u, v in rows[1:]]
+        expected = outcome(lambda: adjacency_sets(n, pairs))
+        assert outcome(lambda: parse_edge_list(text).adjacency) == expected
+        assert outcome(lambda: Graph(n, iter(pairs)).adjacency) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists())
+    def test_pair_lists_match_set_constructor(self, drawn):
+        n, pairs = drawn
+        g = Graph(n, pairs)
+        adjacency = adjacency_sets(n, pairs)
+        assert g.adjacency == adjacency
+        assert list(g.edges()) == sorted({(min(e), max(e)) for e in pairs})
+        assert [g.degree(v) for v in range(n)] == [len(nbrs) for nbrs in adjacency]
+        assert g.m == sum(map(len, adjacency)) // 2
+        as_array = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        assert as_array == g and hash(as_array) == hash(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists(), st.data())
+    def test_first_offending_pair_is_reported(self, drawn, data):
+        n, pairs = drawn[0], list(drawn[1])
+        index = st.one_of(st.integers(-2, n + 1), st.sampled_from([-(2 ** 70), 2 ** 63, 2 ** 70]))
+        bad = st.one_of(st.tuples(index, index), index.map(lambda v: (v, v)))
+        for pair in data.draw(st.lists(bad, min_size=1, max_size=3)):
+            pairs.insert(data.draw(st.integers(0, len(pairs))), pair)
+        expected = outcome(lambda: adjacency_sets(n, pairs))
+        assert outcome(lambda: Graph(n, pairs).adjacency) == expected
+
+    def test_equality_and_hash(self):
+        a, b = Graph(4, [(0, 1), (1, 2)]), Graph(4, np.array([[2, 1], [1, 0], [0, 1]]))
+        assert a == b and hash(a) == hash(b)
+        assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)]) != Graph(4, [(0, 2)])
+        assert a != a.adjacency
 
 
 class TestGnp:

@@ -68,11 +68,12 @@ class TestInvariants:
         n = g.n
         for k in range(n):  # triangle inequality through every intermediate
             assert (e <= e[:, k:k + 1] + e[k:k + 1, :]).all()
+        adjacency = g.adjacency
         for i in range(n):
             for j in range(n):
                 if i != j:
                     assert e[i, j] >= 1
-                    assert (e[i, j] == 1) == (j in g.adjacency[i])
+                    assert (e[i, j] == 1) == (j in adjacency[i])
 
     def test_deterministic(self):
         g, _ = gnp(20, Fraction(1, 3), 5)
@@ -218,8 +219,9 @@ def test_directed_search_matches_undirected(monkeypatch):
 
 def scipy_adjacency(g):
     """The adjacency matrix of g, with float ones, in scipy's CSR format."""
-    indptr = np.cumsum([0] + [len(nbrs) for nbrs in g.adjacency])
-    indices = [v for nbrs in g.adjacency for v in nbrs]
+    adjacency = g.adjacency
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency])
+    indices = [v for nbrs in adjacency for v in nbrs]
     return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
 
 
@@ -293,7 +295,7 @@ class TestBranches:
                 tracemalloc.stop()
             assert peak < 8 * g.n ** 2, g  # less than one int64 copy of D
         # path:1500 takes scipy's Dijkstra: D and one float64 block of its rows,
-        # plus 256 bytes a vertex for the BFS set and the adjacency arrays; a
+        # plus 256 bytes a vertex for the BFS set and its lists of the CSR arrays; a
         # whole float64 D would add 8 n^2 = 18 MB
         assert peak <= D.entries.nbytes + 8 * metric._BLOCK_CELLS + 256 * g.n
 

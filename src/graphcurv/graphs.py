@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GraphInputError
-from .rationals import parse_ratio
+from .rationals import INT64_MAX, parse_ratio
 from .seeding import counter_values_np
 
 GNP_MAX_RETRIES = 1000
@@ -36,6 +36,8 @@ class Graph:
     def __init__(self, n: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphInputError(f"vertex count must be positive, got {n}")
+        if n * n > INT64_MAX:  # the keys u n + v below are int64
+            raise GraphInputError(f"vertex count {n} is too large: n * n must fit int64")
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
             e = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
@@ -49,11 +51,14 @@ class Graph:
             raise GraphInputError(f"self-loop at vertex {u}")
         # one key v n + w per orientation, sorted, repeats dropped; np.unique would
         # map about 1 MB more resident memory on its first call
-        keys = np.sort(np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0])))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        try:
+            keys = np.sort(np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0])))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            self.indices = keys % n
+        except MemoryError:
+            raise GraphInputError(f"vertex count {n} is too large to hold in memory") from None
         self.n = n
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        self.indices = keys % n
         self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     @property

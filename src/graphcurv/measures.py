@@ -7,21 +7,23 @@ gives the entries as rationals when a caller wants them.
 
 A `Battery` holds many measures on the same n vertices as one k x n integer
 matrix of reduced numerators and a vector of k denominators, each row
-labelled.  Its weights are summed, checked and reduced with `np.gcd` as one
-matrix, and a `Measure` is built only when a row is asked for.  Random
-samples are drawn the same way: one counter grid per block of at most n
-samples, hashed in place.
+labelled, and a `Measure` is built only when a row is asked for.  One
+kernel, `reduce_weights`, checks, sizes and reduces the weights of every
+measure, a battery's as one matrix, and it alone decides whether the
+numerators are int64 (every row sum fits) or Python ints.  Random samples
+are drawn one counter grid per block of at most n samples, hashed in place.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
 import numpy as np
 
+from .rationals import INT64_MAX
 from .seeding import counter_offsets, mix64_inplace
 
 SAMPLE_WEIGHT_BITS = 16  # raw weights uniform in [1, 2^16]
@@ -41,11 +43,8 @@ class Measure:
     def __init__(self, entries: Iterable[Fraction]):
         p = [Fraction(x) for x in entries]
         den = lcm(*(x.denominator for x in p))
-        q = [x.numerator * (den // x.denominator) for x in p]
-        _check_entries(q)
-        if sum(q) != den:
-            raise ValueError("measure entries must sum to exactly 1")
-        self._set(q, den)
+        num, den = reduce_weights([[x.numerator * (den // x.denominator) for x in p]], total=den)
+        self.q, self.den = tuple(num[0].tolist()), int(den[0])
 
     @classmethod
     def from_weights(cls, weights: Iterable[int]) -> Measure:
@@ -54,24 +53,8 @@ class Measure:
         Floats are rejected, as in `rationals.rational_from`, so exact paths
         stay exact.
         """
-        q = list(weights)
-        if not all(isinstance(x, int) for x in q):
-            raise TypeError("Measure.from_weights takes integers only")
-        _check_entries(q)
-        den = sum(q)
-        if den == 0:
-            raise ValueError("measure weights must not all be zero")
-        mu = cls.__new__(cls)
-        mu._set(q, den)
-        return mu
-
-    def _set(self, q: list[int], den: int) -> None:
-        g = gcd(den, *q)
-        if g > 1:
-            q = [x // g for x in q]
-            den //= g
-        self.q = tuple(q)
-        self.den = den
+        num, den = reduce_weights([list(weights)])
+        return cls._reduced(tuple(num[0].tolist()), int(den[0]))
 
     @classmethod
     def _reduced(cls, q: tuple[int, ...], den: int) -> Measure:
@@ -101,13 +84,6 @@ class Measure:
 
     def __repr__(self) -> str:
         return f"Measure({[str(x) for x in self.p]})"
-
-
-def _check_entries(q: list[int]) -> None:
-    if not q:
-        raise ValueError("measure needs at least one entry")
-    if min(q) < 0:
-        raise ValueError("measure entries must be non-negative")
 
 
 def measure_delta(n: int, v: int) -> Measure:
@@ -150,22 +126,34 @@ def sample_weights(n: int, count: int, seed: int) -> np.ndarray:
     return weights
 
 
-def reduce_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reduce_weights(weights, total: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rows of non-negative integer weights as (numerators, denominators).
 
     Row i becomes the measure weights[i] / sum(weights[i]), reduced by the
-    gcd of the row and its sum.  weights is int64, or object for Python
-    ints that int64 cannot hold.
+    gcd of the row and its sum.  weights is a k x n integer array, or rows
+    of Python ints, which numpy is not left to type.  The result is int64
+    when every row sum fits int64, and Python ints (object) otherwise.
+    When total is given, every row must sum to it.
     """
-    if weights.shape[1] == 0:
+    w = weights if isinstance(weights, np.ndarray) else np.array(weights, dtype=object)
+    if not (w.dtype.kind in "biu" or w.dtype == object and all(isinstance(x, int) for x in w.flat)):
+        raise TypeError("Measure.from_weights takes integers only")
+    if w.shape[1] == 0:
         raise ValueError("measure needs at least one entry")
-    if weights.size and weights.min() < 0:
+    if w.size and w.min() < 0:
         raise ValueError("measure entries must be non-negative")
-    den = weights.sum(axis=1)
+    # n times the largest weight bounds every row sum; past that bound the
+    # sums are taken exactly, on Python ints
+    fits = not w.size or int(w.max()) * w.shape[1] <= INT64_MAX or (
+        w.astype(object).sum(axis=1).max() <= INT64_MAX)
+    w = w.astype(np.int64 if fits else object, copy=False)
+    den = w.sum(axis=1)
+    if total is not None and (den != total).any():
+        raise ValueError("measure entries must sum to exactly 1")
     if (den == 0).any():
         raise ValueError("measure weights must not all be zero")
-    g = np.gcd(np.gcd.reduce(weights, axis=1), den)
-    return weights // g[:, None], den // g
+    g = np.gcd(np.gcd.reduce(w, axis=1), den)
+    return w // g[:, None], den // g
 
 
 class Battery(Sequence):

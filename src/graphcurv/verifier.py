@@ -12,7 +12,9 @@ takes one product N = D Q per block of at most n measures, as many as fit
 a byte budget, through `rationals.exact_matmul`, keeps A and B as reduced
 integer arrays, and decides lower, upper and tight for all measures at once
 by integer cross-multiplication with K.  A rational or a `MeasureRecord`
-per measure is built only when `VerificationReport.records` is read.
+per measure is built only when `VerificationReport.records` is read.  A
+sequence of measures becomes a battery from their numerators as Python
+ints; `measures.reduce_weights` decides whether they are held in int64.
 
 The inner-product identity <w, D P> = n is what makes the sandwich work:
 n = <n 1, P> = <D w, P> = <w, D P>, which lies between A ||w||_1 and
@@ -149,9 +151,8 @@ def _as_battery(D: DistanceMatrix, measures) -> Battery:
     for _, P in labelled:
         if P.n != D.n:
             raise ValueError(_mismatch(P.n, D.n))
-    fits = all(P.den <= INT64_MAX for _, P in labelled)
-    weights = np.array([P.q for _, P in labelled], dtype=np.int64 if fits else object)
-    return Battery([label for label, _ in labelled], weights.reshape(len(labelled), D.n))
+    weights = np.array([P.q for _, P in labelled], dtype=object).reshape(len(labelled), D.n)
+    return Battery([label for label, _ in labelled], weights)
 
 
 def _mismatch(measure_n: int, n: int) -> str:

@@ -156,11 +156,18 @@ MUTANTS = [
            "offsets = counter_offsets(seed, count + 1)[1:]",
            (MEAS + "TestSampling::test_matches_fraction_oracle",)),
     Mutant("measure-not-reduced", "measures.py",
-           "        if g > 1:\n", "        if g < 1:\n",
+           "return w // g[:, None], den // g", "return w // g[:, None], den",
            (MEAS + "TestFromWeights::test_equal_to_rational_construction",)),
     Mutant("battery-not-reduced", "measures.py",
-           "g = np.gcd(np.gcd.reduce(weights, axis=1), den)", "g = np.ones_like(den)",
+           "g = np.gcd(np.gcd.reduce(w, axis=1), den)", "g = np.ones_like(den)",
            (VERIF + "TestBattery::test_sequence_of_labelled_measures",)),
+    Mutant("battery-row-sum-wraps", "measures.py",
+           "fits = not w.size or", "fits = True or",
+           (MEAS + "TestKernel::test_wide_row_sum_does_not_wrap",
+            MEAS + "TestKernel::test_constructors_agree_with_fraction_oracle")),
+    Mutant("kernel-allows-negative", "measures.py",
+           "if w.size and w.min() < 0:", "if False:",
+           (MEAS + "TestKernel::test_bad_rows_raise_one_error_in_order",)),
     # seeding
     Mutant("mix64-wrong-shift", "seeding.py",
            "np.right_shift(z, np.uint64(27), out=t)", "np.right_shift(z, np.uint64(26), out=t)",

@@ -427,6 +427,31 @@ class TestExitCodes:
         code, out, err = run(capsys, "dist", "--input", str(f))
         assert (code, out) == (2, "") and err.startswith(f"error: cannot read {f}: ")
 
+    @pytest.mark.parametrize("n", [2 ** 32, 10 ** 21])
+    def test_vertex_count_past_int64_keys(self, capsys, tmp_path, n):
+        f = tmp_path / "g.edges"
+        f.write_text(f"{n} 1\n0 1\n")
+        code, out, err = run(capsys, "gen", "--input", str(f))
+        assert (code, out, err) == (2, "", f"error: vertex count {n} is too large: n * n must fit int64\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+    def test_vertex_count_past_memory(self, tmp_path):
+        # 3 10^9 vertices pass the int64 test, but indptr alone takes 24 GB: the
+        # child runs with 2 GiB of address space, so that allocation must fail
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        f = tmp_path / "g.edges"
+        f.write_text("3000000000 1\n0 1\n")
+        result = subprocess.run([sys.executable, "-m", "graphcurv.cli", "gen", "--input", str(f)],
+                                env=dict(src_env(), OPENBLAS_NUM_THREADS="1"),
+                                preexec_fn=limit_address_space, capture_output=True, text=True,
+                                timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: vertex count 3000000000 is too large to hold in memory\n")
+
     def test_disconnected(self, capsys, tmp_path):
         f = tmp_path / "g.edges"
         f.write_text("4 2\n0 1\n2 3\n")

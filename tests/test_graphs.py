@@ -219,6 +219,20 @@ class TestCsrConstructor:
         expected = outcome(lambda: adjacency_sets(n, pairs))
         assert outcome(lambda: Graph(n, pairs).adjacency) == expected
 
+    @pytest.mark.parametrize("n", [2 ** 32, 10 ** 21])
+    def test_vertex_count_past_int64_keys_allocates_nothing(self, n):
+        # the keys u n + v need n * n <= 2^63 - 1; 2^32 vertices would also
+        # need a 32 GiB indptr, and 10^21 overflowed the key product
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphInputError) as exc:
+                Graph(n, [(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"vertex count {n} is too large: n * n must fit int64"
+        assert peak < 1 << 16
+
     def test_equality_and_hash(self):
         a, b = Graph(4, [(0, 1), (1, 2)]), Graph(4, np.array([[2, 1], [1, 0], [0, 1]]))
         assert a == b and hash(a) == hash(b)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcurv import (
+    Battery,
     Measure,
     measure_delta,
     measure_uniform,
@@ -11,6 +13,7 @@ from graphcurv import (
     sample_measures,
 )
 from graphcurv.measures import SAMPLE_WEIGHT_BITS, sample_weights
+from graphcurv.rationals import INT64_MAX
 from graphcurv.seeding import counter_offsets, counter_values_np, mix64_inplace
 from oracles import counter_value, measure_fraction, sample_measures_fraction
 
@@ -65,6 +68,76 @@ class TestFromWeights:
     def test_rejects_bad_weights(self, weights):
         with pytest.raises(ValueError):
             Measure.from_weights(weights)
+
+
+# weights near and past 2^62 and 2^63, where an int64 row sum wraps
+WEIGHTS = st.one_of(
+    st.integers(0, 3), st.booleans(), st.integers(0, 2 ** 65),
+    st.sampled_from([2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, INT64_MAX, 2 ** 63, 2 ** 63 + 1, 2 ** 64]),
+)
+
+
+class TestKernel:
+    """`Measure` and `Battery` build every measure through `reduce_weights`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WEIGHTS, min_size=1, max_size=6).filter(any))
+    def test_constructors_agree_with_fraction_oracle(self, row):
+        total = sum(row)
+        mu = Measure.from_weights(row)
+        assert mu.p == measure_fraction([Fraction(x, total) for x in row])
+        assert all(type(x) is int for x in (*mu.q, mu.den))
+        width = np.int64 if total <= INT64_MAX else object
+        inputs = [[row]]
+        if max(row) <= INT64_MAX:  # as the int64 matrix a caller may hold
+            inputs.append(np.array([row], dtype=np.int64))
+        for weights in inputs:
+            battery = Battery(["a"], weights)
+            assert battery[0] == ("a", mu)
+            assert battery.num.dtype == battery.den.dtype == width
+
+    def test_wide_row_sum_does_not_wrap(self):
+        battery = Battery(["a"], np.array([[2 ** 62, 2 ** 62]]))
+        assert battery.den == 2 and battery[0][1] == Measure.from_weights([2 ** 62, 2 ** 62])
+
+    @pytest.mark.parametrize("row", [[1, 0.5], [1.0, 2.0], [Fraction(1), 1], [np.int64(1)]])
+    def test_rejects_non_integers(self, row):
+        for build in (Measure.from_weights, lambda r: Battery(["a"], [r])):
+            with pytest.raises(TypeError, match="^Measure.from_weights takes integers only$"):
+                build(row)
+
+    def test_numpy_typed_weights(self):
+        # numpy types [[2^63, 1]] as float64; as Python ints the row is a measure
+        with pytest.raises(TypeError, match="integers only"):
+            Battery(["a"], np.array([[2 ** 63, 1]]))
+        assert Battery(["a"], [[2 ** 63, 1]])[0][1].den == 2 ** 63 + 1
+        assert Battery(["a"], np.array([[2 ** 63, 2]], dtype=np.uint64))[0][1].q == (2 ** 62, 1)
+        assert Battery(["a"], np.array([[True, False]]))[0][1].q == (1, 0)
+
+    @pytest.mark.parametrize("row,error", [
+        ([], "measure needs at least one entry"),
+        ([2, -1], "measure entries must be non-negative"),
+        ([1, -1], "measure entries must be non-negative"),
+        ([0, 0, 0], "measure weights must not all be zero"),
+        ([False], "measure weights must not all be zero"),
+    ])
+    def test_bad_rows_raise_one_error_in_order(self, row, error):
+        for build in (Measure.from_weights, lambda r: Battery(["a"], [r])):
+            with pytest.raises(ValueError) as exc:
+                build(row)
+            assert str(exc.value) == error
+
+    @pytest.mark.parametrize("entries,error", [
+        ([], "measure needs at least one entry"),
+        ([2, -1], "measure entries must be non-negative"),
+        ([-1, 0], "measure entries must be non-negative"),
+        ([0, 0], "measure entries must sum to exactly 1"),
+        ([Fraction(1, 2), Fraction(1, 3)], "measure entries must sum to exactly 1"),
+    ])
+    def test_rational_entries_checked_in_order(self, entries, error):
+        with pytest.raises(ValueError) as exc:
+            Measure(entries)
+        assert str(exc.value) == error
 
 
 class TestDelta:

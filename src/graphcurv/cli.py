@@ -17,12 +17,12 @@ goes out from its integer numerators and denominator through one writer,
 `_ratio_columns`, with no `Fraction` or `MeasureRecord` per entry.
 
 Every JSON document is in the layout of json.dumps with indent=2, byte for
-byte, and is written by one writer, `_write_json`, with one write.  The
-stdlib uses its C encoder only without indent, so `_json_text` encodes a
-list one column at a time with C-level maps instead: the list itself when
-it holds scalars.  Records that share their keys (the verify records) come
-as one `_Records` table, a column per key, each encoded at once and joined
-by one %-template per record.
+byte, written by `_write_json` with one write (`dist`'s rows go through
+`_write_grid` in blocks).  The stdlib uses its C encoder only without
+indent, so `_json_text` encodes a list one column at a time with C-level
+maps instead: the list itself when it holds scalars.  Records that share
+their keys (the verify records) come as one `_Records` table, a column per
+key, each encoded at once and joined by one %-template per record.
 
 Exit codes: 0 ok, 2 input error, 3 disconnected graph, 4 inconsistent
 curvature system, 5 hard verification failure.
@@ -77,6 +77,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GraphInputError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as e:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return EXIT_INPUT
     except DisconnectedGraphError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -37,8 +37,7 @@ returned:
     min_u (D . maximin)_u  =  value  =  max_u (D^T . minimax)_u
 exactly, or the solver refuses.  The pair stays integer numerators over a
 denominator from the lift to the strategies, and both certificates come
-from one product D [p | q] of D with the two strategies' numerators,
-through the package's one exact product, `rationals.exact_matmul`.
+from one product D [p | q], through the sandwich's transport kernel.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .curvature import (
 from .errors import HardVerificationError
 from .measures import Measure
 from .metric import DistanceMatrix
-from .rationals import exact_matmul
+from .verifier import _transport_block
 
 FLOAT_TOL = 1e-9  # float tableau entries this close to zero count as zero
 FLOAT_PIVOT_CAP = 20_000  # gnp:160,1/16 seed 1: 5,581 Bland pivots, 94 steepest edge
@@ -129,9 +128,9 @@ def _certified(D: DistanceMatrix, primal: tuple[list[int], int], dual: tuple[lis
     Raises HardVerificationError unless the pair closes (sum(y) / den =
     sum(pi) / pi_den > 0, by cross-multiplication), has no negative entry,
     and both certificates hold exactly: min_u (D P)_u = value =
-    max_u (D^T Q)_u, both columns from one `exact_matmul` product D [p | q],
-    bounded by max(D) max(P.den, Q.den).  When the pair's `basis` is given,
-    it also raises unless the optimum is unique (`_unique_optimum`).
+    max_u (D^T Q)_u, both columns from one `verifier._transport_block`
+    product D [p | q].  When the pair's `basis` is given, it also raises
+    unless the optimum is unique (`_unique_optimum`).
     """
     (y, den), (pi, pi_den) = primal, dual
     total = sum(y)
@@ -143,8 +142,7 @@ def _certified(D: DistanceMatrix, primal: tuple[list[int], int], dual: tuple[lis
     maximin, minimax = Measure.from_weights(pi), Measure.from_weights(y)
     value = Fraction(den, total) - 1
 
-    bound = max(int(D.entries.max()), 1) * max(maximin.den, minimax.den)
-    N = exact_matmul(D.entries, [maximin.q, minimax.q], bound)
+    N = _transport_block(D, [maximin.q, minimax.q], [maximin.den, minimax.den])
     low, high = N[:, 0], N[:, 1]  # numerators of D P and D Q (= D^T Q) over P.den and Q.den
     A, B = Fraction(int(low.min()), maximin.den), Fraction(int(high.max()), minimax.den)
     if A != value or B != value:

@@ -2,11 +2,11 @@
 
 Exact scalars cross the API as canonical `fractions.Fraction`s, built from
 integers only, so that no float leaks into them.  Exact vectors stay integer
-numerators over a denominator, `Fraction`s only at accessors.  The sandwich
-and the game's D P are each one `exact_matmul` product (a lifted solution
-needs none), whose bounds FLOAT_EXACT_MAX and INT64_MAX are defined here
-only.  Its float64 tier is FFLAS-FFPACK's exact BLAS product of bounded
-integers (Dumas, Giorgi & Pernet, ACM TOMS 2008).
+numerators over a denominator, `Fraction`s only at accessors.  Every D P
+is an `exact_matmul` product through `verifier._transport_block`, and the
+bounds FLOAT_EXACT_MAX and INT64_MAX are defined here only.  Its float64
+tier is FFLAS-FFPACK's exact BLAS product of bounded integers (Dumas,
+Giorgi & Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ The battery is a `Battery`: k measures as one k x n matrix of reduced
 numerators q over a vector of denominators den, so D P = (D q) / den, and A
 and B are the column min and max of N = D Q over den.  `verify_minimax`
 takes one product N = D Q per block of at most n measures, as many as fit
-a byte budget, through `rationals.exact_matmul`, keeps A and B as reduced
-integer arrays, and decides lower, upper and tight for all measures at once
-by integer cross-multiplication with K.  A rational or a `MeasureRecord`
-per measure is built only when `VerificationReport.records` is read.  A
-sequence of measures becomes a battery from their numerators as Python
-ints; `measures.reduce_weights` decides whether they are held in int64.
+a byte budget, through `_transport_block`, the one kernel of every D P,
+keeps A and B as reduced integer arrays, and decides lower, upper and
+tight for all measures at once by integer cross-multiplication with K.  A
+rational or a `MeasureRecord` per measure is built only when
+`VerificationReport.records` is read.  A sequence of measures becomes a
+battery from their numerators as Python ints; `measures.reduce_weights`
+decides whether they are held in int64.
 
 The inner-product identity <w, D P> = n is what makes the sandwich work:
 n = <n 1, P> = <D w, P> = <w, D P>, which lies between A ||w||_1 and
@@ -129,8 +130,9 @@ def transport_vector(D: DistanceMatrix, P: Measure) -> TransportBounds:
     The one-column case of the battery's product: D P = (D q) / den for
     P = q / den, with D q from `_transport_block`.
     """
-    battery = _as_battery(D, [P])
-    num = _transport_block(D, battery.num, battery.den)[:, 0].tolist()
+    if P.n != D.n:
+        raise ValueError(_mismatch(P.n, D.n))
+    num = _transport_block(D, [P.q], [P.den])[:, 0].tolist()
     lo, hi = min(num), max(num)
     dp = tuple(Fraction(x, P.den) for x in num)
     return TransportBounds(dp=dp, A=Fraction(lo, P.den), B=Fraction(hi, P.den),
@@ -159,14 +161,14 @@ def _mismatch(measure_n: int, n: int) -> str:
     return f"dimension mismatch: measure on {measure_n} vertices, matrix is {n}x{n}"
 
 
-def _transport_block(D: DistanceMatrix, num: np.ndarray, den: np.ndarray,
-                     D_float: np.ndarray | None = None) -> np.ndarray:
-    """N = D Q, exactly, for the n x k matrix Q = num.T of at most n measures.
+def _transport_block(D: DistanceMatrix, num, den, D_float: np.ndarray | None = None) -> np.ndarray:
+    """N = D Q, exactly, for the n x k matrix Q = num.T of measures num[j] / den[j].
 
-    Column j of N is den[j] times the transport vector of measure j, and
-    its partial sums are at most max(D) den[j], the bound for `exact_matmul`.
+    Taken by the battery's blocks, `transport_vector` and the game's
+    certificates.  Column j of N is den[j] times the transport vector of
+    measure j, so max(D) max(den) bounds `exact_matmul`'s partial sums.
     """
-    return exact_matmul(D.entries, num, max(int(D.entries.max()), 1) * int(den.max()), D_float)
+    return exact_matmul(D.entries, num, max(int(D.entries.max()), 1) * int(np.max(den)), D_float)
 
 
 def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

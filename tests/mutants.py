@@ -133,6 +133,13 @@ MUTANTS = [
     Mutant("bland-ties-to-highest-index", "game.py",
            "tied[basis[tied].argmin()]", "tied[basis[tied].argmax()]",
            (GAME + "TestCondensedTableau::test_bland_runs_match_full_tableau",)),
+    Mutant("certificate-columns-crossed", "game.py",
+           "[maximin.q, minimax.q]", "[minimax.q, maximin.q]",
+           (GAME + "TestIntegerPair::test_unique_optimum_with_two_supports",)),
+    Mutant("certificate-dens-crossed", "game.py",
+           "Fraction(int(low.min()), maximin.den), Fraction(int(high.max()), minimax.den)",
+           "Fraction(int(low.min()), minimax.den), Fraction(int(high.max()), maximin.den)",
+           (CLI + "test_output_matches_golden[game-path:7-0]",)),
     Mutant("basis-pair-untransposed-inverse", "game.py",
            "np.ascontiguousarray(C.T)", "np.ascontiguousarray(C)",
            (GAME + "TestBasisPair::test_one_inverse",)),
@@ -145,8 +152,11 @@ MUTANTS = [
            "hard = ~upper | (~lower & sol.nonneg)", "hard = ~upper | ~lower",
            (VERIF + "TestVerifyMinimax::test_star4_lower_failure_recorded",)),
     Mutant("block-bound-from-first-den", "verifier.py",
-           "* int(den.max()), D_float)", "* int(den[0]), D_float)",
+           "* int(np.max(den)), D_float)", "* int(den[0]), D_float)",
            (VERIF + "TestVerifyMinimax::test_int64_blocks_between_2_pow_53_and_2_pow_63",)),
+    Mutant("transport-no-dimension-check", "verifier.py",
+           "    if P.n != D.n:\n        raise ValueError(_mismatch(P.n, D.n))\n", "",
+           (VERIF + "TestTransport::test_dimension_mismatch",)),
     Mutant("bounds-from-rows", "verifier.py",
            "lo.append(N.min(axis=0))", "lo.append(N.min(axis=1))",
            (VERIF + "TestVerifyMinimax::test_blocked_matches_per_measure",)),
@@ -171,6 +181,9 @@ MUTANTS = [
     # seeding
     Mutant("mix64-wrong-shift", "seeding.py",
            "np.right_shift(z, np.uint64(27), out=t)", "np.right_shift(z, np.uint64(26), out=t)",
+           (MEAS + "TestCounterValues::test_bit_identical_to_scalar",)),
+    Mutant("scalar-mix64-wrong-shift", "seeding.py",
+           "x = (x ^ (x >> 30))", "x = (x ^ (x >> 29))",
            (MEAS + "TestCounterValues::test_bit_identical_to_scalar",)),
     # metric
     Mutant("bitbfs-wrong-plane-shift", "metric.py",
@@ -204,6 +217,9 @@ MUTANTS = [
            "self.unreachable_pair = (u, v)", "self.unreachable_pair = (v, u)",
            (METRIC + "TestDisconnectedPair::test_fixed_graphs",)),
     # cli
+    Mutant("memory-error-not-mapped", "cli.py",
+           "    except MemoryError as e:", "    except ZeroDivisionError as e:",
+           (CLI + "TestExitCodes::test_allocation_past_memory[gen path:1000000000]",)),
     Mutant("grid-skips-rows", "cli.py",
            "for start in range(0, len(entries), rows):",
            "for start in range(0, len(entries), rows + 1):",

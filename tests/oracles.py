@@ -14,7 +14,8 @@ built on these still fail when the kernels are broken.
   - `metric.apsp` -> `floyd_warshall`
   - `graphs.gnp` -> `gnp_triu`, the all-at-once draw: no independent
     per-pair reference pins gnp's graphs
-  - `seeding.counter_values_np` -> `counter_value`, scalar SplitMix64
+  - `seeding.mix64` and `counter_values_np` -> `counter_value`, scalar
+    SplitMix64 on its own finalizer
   - `measures.Measure`, `sample_measures`, `verifier.measure_battery` ->
     `measure_fraction`, `sample_measures_fraction`, `measure_battery_fraction`
     (one Fraction per entry) and `measure_battery_measures`
@@ -69,10 +70,10 @@ from graphcurv.curvature import _RESIDUAL_ROWS, FLOAT_PIVOT_FLOOR, _certified_so
 from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL, GameSolution
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
-from graphcurv.seeding import counter_values_np, mix64
+from graphcurv.seeding import counter_values_np
 from graphcurv.verifier import BATTERY_PAIR_LIMIT
 
-_MASK = (1 << 64) - 1
+_WORD = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -279,12 +280,21 @@ def counter_value(seed: int, *counters: int) -> int:
     """Scalar SplitMix64 value for a (seed, counter...) tuple.
 
     This was the library's per-entry generator before the vectorized
-    `graphcurv.seeding.counter_values_np` replaced it.
+    `graphcurv.seeding.counter_values_np` replaced it.  It hashes with its
+    own finalizer, `splitmix64_finalizer`, not the library's `mix64`.
     """
-    x = mix64(seed)
+    x = splitmix64_finalizer(seed)
     for c in counters:
-        x = mix64((x + _GOLDEN + c) & _MASK)
+        x = splitmix64_finalizer(x + _GOLDEN + c)
     return x
+
+
+def splitmix64_finalizer(z: int) -> int:
+    """SplitMix64's output function (Steele, Lea & Flood 2014) on an int, mod 2^64."""
+    z %= _WORD
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % _WORD
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % _WORD
+    return z ^ z >> 31
 
 
 def game_value_float(D: np.ndarray) -> float:

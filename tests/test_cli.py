@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcurv
-from graphcurv import apsp, cli, game, parse_edge_list, parse_generator_spec, path, serialize, star
+from graphcurv import (apsp, cli, game, parse_edge_list, parse_generator_spec, path, serialize,
+                       solve_curvature_float, star)
 from oracles import dist_text_per_int, json_indent2
 from test_metric import family_graphs_up_to
 
@@ -394,6 +395,20 @@ class TestReport:
             assert witness == doc["game"]["maximin_strategy"]
 
 
+def run_in_2_gib(argv) -> tuple[int, str, str]:
+    """The CLI's exit code, stdout and stderr in a child with 2 GiB of address space."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    result = subprocess.run([sys.executable, "-m", "graphcurv.cli", *argv],
+                            env=dict(src_env(), OPENBLAS_NUM_THREADS="1"),
+                            preexec_fn=limit_address_space, capture_output=True, text=True,
+                            timeout=120)
+    return result.returncode, result.stdout, result.stderr
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "dist", "--input", "/nonexistent/g.edges")
@@ -436,21 +451,26 @@ class TestExitCodes:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
     def test_vertex_count_past_memory(self, tmp_path):
-        # 3 10^9 vertices pass the int64 test, but indptr alone takes 24 GB: the
-        # child runs with 2 GiB of address space, so that allocation must fail
-        import resource
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+        # 3 10^9 vertices pass the int64 test, but indptr alone takes 24 GB, so
+        # that allocation must fail in a child with 2 GiB of address space
         f = tmp_path / "g.edges"
         f.write_text("3000000000 1\n0 1\n")
-        result = subprocess.run([sys.executable, "-m", "graphcurv.cli", "gen", "--input", str(f)],
-                                env=dict(src_env(), OPENBLAS_NUM_THREADS="1"),
-                                preexec_fn=limit_address_space, capture_output=True, text=True,
-                                timeout=120)
-        assert (result.returncode, result.stdout, result.stderr) == (
+        assert run_in_2_gib(["gen", "--input", str(f)]) == (
             2, "", "error: vertex count 3000000000 is too large to hold in memory\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize("command", [
+        "gen path:1000000000",  # the generators' edge arrays
+        "gen star:3000000000",
+        "report complete:200000",
+        "dist grid:100000,100000",
+        "dist path:200000 --format csv",  # Dijkstra's n x n distances
+    ])
+    def test_allocation_past_memory(self, command):
+        name, spec, *rest = command.split()
+        code, out, err = run_in_2_gib([name, "--input", spec, *rest])
+        assert (code, out) == (2, "") and err.startswith("error: out of memory")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_disconnected(self, capsys, tmp_path):
         f = tmp_path / "g.edges"
@@ -575,6 +595,29 @@ def test_curvature_text_matches_golden(capsys, spec, seed, fmt, ext):
     expected = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
     assert run(capsys, "curvature", "--input", spec, "--seed", str(seed),
                "--format", fmt) == (0, expected, "")
+
+
+def test_curvature_table_warnings_match_golden(capsys):
+    # cycle:6 is underdetermined (nullity 2), so its table ends in a warning line
+    expected = (Path(__file__).parent / "data" / "curvature_cycle_6_seed0.txt").read_text()
+    assert "\nwarning: " in expected
+    assert run(capsys, "curvature", "--input", "cycle:6", "--format", "table") == (0, expected, "")
+
+
+@pytest.mark.parametrize("spec", ["star:5", "cycle:7", "gnp:30,1/5"])
+def test_float_text_formats(capsys, spec):
+    # float bits depend on the BLAS build and thread count, so both formats are
+    # checked against the float solve in this process, not against a file
+    g = parse_generator_spec(spec, seed=0)
+    fsol = solve_curvature_float(apsp(g))
+    w = fsol.w.tolist()
+    csv = ["vertex,w_float"] + [f"{i},{x!r}" for i, x in enumerate(w)]
+    table = ([f"n = {g.n}, m = {g.m}"] + [f"  w[{i}] = {x!r}" for i, x in enumerate(w)]
+             + [f"residual_inf = {fsol.residual_inf!r}"])
+    for fmt, lines in (("csv", csv), ("table", table)):
+        code, out, err = run(capsys, "curvature", "--input", spec, "--float", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines and out.endswith("\n")
 
 
 @pytest.mark.parametrize("command", ["report", "game"])

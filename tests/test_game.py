@@ -30,7 +30,7 @@ from graphcurv import (
     transport_vector,
     verify_minimax,
 )
-from graphcurv import curvature, game, rationals
+from graphcurv import curvature, game, rationals, verifier
 import oracles
 from oracles import (bareiss_solve, basis_pair_fraction, certified_fraction, game_value_float,
                      simplex_basis_full, simplex_bland_fraction)
@@ -697,14 +697,14 @@ class TestIntegerPair:
         D = apsp(parse_generator_spec(spec, seed=seed))
         expected = game_value(D)
         dtypes = []
-        kernel = game.exact_matmul
+        kernel = verifier.exact_matmul
 
-        def spy(A, columns, bound):
-            N = kernel(A, columns, bound)
+        def spy(A, columns, bound, A_float=None):
+            N = kernel(A, columns, bound, A_float)
             dtypes.append(N.dtype)
             return N
 
-        monkeypatch.setattr(game, "exact_matmul", spy)
+        monkeypatch.setattr(verifier, "exact_matmul", spy)
         monkeypatch.setattr(rationals, "FLOAT_EXACT_MAX", 1)
         monkeypatch.setattr(rationals, "INT64_MAX", 1)
         assert game_value(D) == expected

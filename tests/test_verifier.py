@@ -82,7 +82,8 @@ class TestTransport:
         assert tb.argmin == 0 and tb.argmax == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: measure on 4 vertices, "
+                                             r"matrix is 3x3$"):
             transport_vector(apsp(path(3)), measure_uniform(4))
 
     def test_matches_row_sums_over_battery(self):

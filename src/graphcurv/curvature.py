@@ -34,9 +34,6 @@ from .rationals import FLOAT_EXACT_MAX, INT64_MAX, exact_matmul
 
 FLOAT_PIVOT_FLOOR = 1e-12  # scaled by n at use
 LIFT_PRIME = 1048573  # the largest prime below 2**20
-# 8192: up to this size a lift step's product C (R mod p), below n (p-1)^2 < 2^53,
-# is exact on float64 BLAS; beyond it the exact solve runs on Python ints
-LIFT_MAX_N = FLOAT_EXACT_MAX // LIFT_PRIME**2
 _PANEL = 40  # columns per panel of `_eliminate_mod`; its GEMMs need _PANEL (p-1)^2 + p < 2^53
 # rows of D per float block of the residual; part of the output, since the
 # last bits of residual_inf depend on the block shape (and the BLAS threads)
@@ -91,8 +88,8 @@ def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
     current row, in the current row order, and `rows` (ascending) are the
     rows the pivots came from.  C = A[rows, cols]^-1 mod p, with one row per
     pivot column and one column per pivot row; a full-rank square A gives
-    C = A^-1.  An object A is reduced mod p first, and C comes back in A's
-    dtype.
+    C = A^-1.  An object A is reduced mod p first; C, its entries below p,
+    comes back in int64 for every A.
 
     Each panel of _PANEL columns is eliminated a column at a time on int64,
     beside a slab Z that records the row operations in terms of the panel's
@@ -157,8 +154,7 @@ def _eliminate_mod(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndar
         F[k + r0:k + r, perm] = Z
     piv = np.array(perm[:r], dtype=np.intp)
     order = np.argsort(piv)  # the pivots by ascending row
-    C = F[k:k + r, piv][order].T.astype(np.int64)
-    return piv[order].tolist(), cols, C.astype(A.dtype, copy=False)
+    return piv[order].tolist(), cols, F[k:k + r, piv][order].T.astype(np.int64)
 
 
 def _reduce(X: np.ndarray, p: int) -> None:
@@ -236,10 +232,12 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray,
     """num_j, den_j > 0 with A num_j = den_j B[:, j] exactly, or None when no x has A x = B[:, j].
 
     A is m x r of full column rank with its r pivot rows first, C their
-    inverse mod the prime p, and B has k columns, all in A's dtype.  Each
-    step takes X = C (R[:r] mod p) mod p and R <- (R - A X) / p, one
-    `exact_matmul` each for every column (Dixon 1982), on float64 copies of C
-    and A made once.  Each division must be exact: on a pivot row it is
+    inverse mod the prime p, and B has k columns.  Each step takes
+    X = C (R[:r] mod p) mod p and R <- (R - A X) / p, one `exact_matmul`
+    each for every column (Dixon 1982), on float64 copies of C and A made
+    once.  The two products' bounds alone choose the integer width: the
+    residues and C stay int64, and R turns into Python ints only when int64
+    could overflow.  Each division must be exact: on a pivot row it is
     unless C is wrong (HardVerificationError), on a row below unless the
     column has no solution (None).  So A u = B - p^i R for the expansion u,
     and a reconstruction (Wang, Guy & Davenport 1982) with den u = num
@@ -252,8 +250,10 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray,
     m, r = A.shape
     a, beta = int(np.abs(A).max(initial=0)), int(np.abs(B).max(initial=0))
     steps = max(1, _lift_steps(r + (m > r), a, beta, p))
-    # every entry of C (R mod p) is below r (p-1)^2, and of A X below r a (p-1)
-    c_bound, a_bound = r * (p - 1) ** 2, r * max(a, 1) * (p - 1)
+    # every entry of C (R mod p) is below r (p-1)^2; |R| <= beta + r a at every
+    # step, since (beta + r a + r a (p-1)) / p <= beta + r a, so r a p + beta
+    # bounds both A X and R - A X
+    c_bound, a_bound = r * (p - 1) ** 2, r * max(a, 1) * p + beta
     # float copies for exact_matmul's float64 tier, made once
     C_float = C.astype(np.float64) if c_bound <= FLOAT_EXACT_MAX else None
     A_float = A.astype(np.float64) if a_bound <= FLOAT_EXACT_MAX else None
@@ -262,7 +262,7 @@ def dixon_lift(A: np.ndarray, C: np.ndarray, B: np.ndarray,
     pk = 1
     attempt = 2
     for step in range(1, steps + 1):
-        X = exact_matmul(C, (R[:r] % p).T, c_bound, C_float) % p
+        X = exact_matmul(C, (R[:r] % p).astype(np.int64, copy=False).T, c_bound, C_float) % p
         R = R - exact_matmul(A, X.T, a_bound, A_float)
         rem = R % p
         if np.count_nonzero(rem):
@@ -293,21 +293,14 @@ def _certified_solve(
 ) -> tuple[list[int], list[int] | None, int, tuple[np.ndarray, np.ndarray, int]]:
     """`solve_exact`, plus (A, C, p) of the elimination it certified.
 
-    A is in the dtype the lift ran in.  When A has full rank C = A^-1 mod p,
+    A is the int64 matrix the lift ran on.  When A has full rank C = A^-1 mod p,
     so a caller can lift A^T on C^T without eliminating again.  Otherwise,
     for each prime, [b | A[:, F]] is lifted on A[:, J], pivot rows first,
     for the pivot columns J and free columns F.
     """
     A = A.astype(np.int64, copy=False)  # distances come as uint8 or uint16; p needs more
     m, k = A.shape
-    size = max(m, k)
-    a = int(np.abs(A).max(initial=0))
-    # free columns of A join b on the right-hand side, so the lift's |R| stays
-    # below beta + 2 size a for beta = max(a, |b|), and R - A X below size p (2 a + beta)
-    beta = max([a, *map(abs, b)])
-    if size > LIFT_MAX_N or size * LIFT_PRIME * (2 * a + beta) > INT64_MAX:
-        A = A.astype(object)
-    bvec = np.array(b, dtype=A.dtype)
+    bvec = np.array(b, dtype=object if max(map(abs, b), default=0) > INT64_MAX else np.int64)
     for p in _primes():
         rows, cols, C = _eliminate_mod(A, p)
         if len(cols) == m == k:  # full rank: no rows below the pivot block

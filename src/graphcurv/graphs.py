@@ -269,7 +269,7 @@ def parse_generator_spec(spec: str, seed: int = 0) -> Graph:
     for tok in raw:
         try:
             params.append(parse_ratio(tok))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise GraphInputError(f"bad parameter {tok!r} in generator spec {spec!r}") from None
     return generate(family, params, seed=seed)
 

@@ -32,16 +32,19 @@ SAMPLE_WEIGHT_BITS = 16  # raw weights uniform in [1, 2^16]
 class Measure:
     """Probability vector q / den: integers q >= 0 summing to den > 0.
 
-    `Measure(entries)` takes rationals summing to exactly 1;
+    `Measure(entries)` takes ints and Fractions summing to exactly 1;
     `Measure.from_weights(weights)` takes non-negative integers and
-    normalizes them.  Both reduce to the same (den, q), so equality and
-    hashing do not depend on how a measure was built.
+    normalizes them.  Both reject floats, strings and every other type
+    with a TypeError, and both reduce to the same (den, q), so equality
+    and hashing do not depend on how a measure was built.
     """
 
     __slots__ = ("q", "den")
 
     def __init__(self, entries: Iterable[Fraction]):
-        p = [Fraction(x) for x in entries]
+        p = list(entries)
+        if not all(isinstance(x, (int, Fraction)) for x in p):
+            raise TypeError("Measure takes ints and Fractions only")
         den = lcm(*(x.denominator for x in p))
         num, den = reduce_weights([[x.numerator * (den // x.denominator) for x in p]], total=den)
         self.q, self.den = tuple(num[0].tolist()), int(den[0])

@@ -33,6 +33,9 @@ Left out on purpose, because each changes no output:
   - `graphs.hypercube` without its `x & bit == 0` filter: the reverse
     orientations it then passes are folded back by the constructor's
     deduplication.
+  - `curvature.dixon_lift`'s cast of the residues R[:r] mod p to int64
+    before the product with C.  Without it, residues of a Python-int R
+    make that product run on Python ints: slower, with the same X.
 `__init__.py` only re-exports names: dropping one breaks test collection,
 which counts as an error here, not as a kill, so no mutant is listed for it.
 """
@@ -91,6 +94,16 @@ MUTANTS = [
     Mutant("lift-cap-on-r", "curvature.py",
            "_lift_steps(r + (m > r), a, beta, p)", "_lift_steps(r, a, beta, p)",
            (CURV + "TestDixonLifting::test_rank_zero_and_boundary_systems",)),
+    Mutant("lift-bound-no-beta", "curvature.py",
+           "r * max(a, 1) * p + beta", "r * max(a, 1) * p",
+           (CURV + "TestDixonLifting::test_residual_past_int64_takes_python_ints",)),
+    Mutant("lift-bound-p-minus-1", "curvature.py",
+           "r * max(a, 1) * p + beta", "r * max(a, 1) * (p - 1) + beta",
+           (CURV + "TestDixonLifting::test_residual_past_int64_takes_python_ints",)),
+    Mutant("rhs-forced-int64", "curvature.py",
+           "dtype=object if max(map(abs, b), default=0) > INT64_MAX else np.int64)",
+           "dtype=np.int64)",
+           (CURV + "TestDixonLifting::test_right_hand_side_past_int64",)),
     Mutant("reconstruct-no-sign-fix", "curvature.py",
            "            if t1 < 0:\n                r1, t1 = -r1, -t1\n", "",
            (CURV + "TestHandFixtures::test_star4_signed",)),
@@ -175,6 +188,9 @@ MUTANTS = [
            "fits = not w.size or", "fits = True or",
            (MEAS + "TestKernel::test_wide_row_sum_does_not_wrap",
             MEAS + "TestKernel::test_constructors_agree_with_fraction_oracle")),
+    Mutant("measure-takes-any-entry", "measures.py",
+           "if not all(isinstance(x, (int, Fraction)) for x in p):", "if False:",
+           (MEAS + "TestConstruction::test_rejects_floats_strings_and_decimals",)),
     Mutant("kernel-allows-negative", "measures.py",
            "if w.size and w.min() < 0:", "if False:",
            (MEAS + "TestKernel::test_bad_rows_raise_one_error_in_order",)),
@@ -212,6 +228,9 @@ MUTANTS = [
     Mutant("first-error-last", "graphs.py",
            "e[bad[0]]", "e[bad[-1]]",
            (GRAPHS + "TestCsrConstructor::test_parser_matches_set_constructor",)),
+    Mutant("spec-zero-denominator-uncaught", "graphs.py",
+           "except (ValueError, ZeroDivisionError):", "except ValueError:",
+           (CLI + "TestExitCodes::test_bad_generator_parameters",)),
     # errors
     Mutant("disconnected-pair-reversed", "errors.py",
            "self.unreachable_pair = (u, v)", "self.unreachable_pair = (v, u)",
@@ -220,6 +239,9 @@ MUTANTS = [
     Mutant("memory-error-not-mapped", "cli.py",
            "    except MemoryError as e:", "    except ZeroDivisionError as e:",
            (CLI + "TestExitCodes::test_allocation_past_memory[gen path:1000000000]",)),
+    Mutant("hard-verification-not-mapped", "cli.py",
+           "    except HardVerificationError as e:", "    except ZeroDivisionError as e:",
+           (CLI + "TestExitCodes::test_hard_verification_failure",)),
     Mutant("grid-skips-rows", "cli.py",
            "for start in range(0, len(entries), rows):",
            "for start in range(0, len(entries), rows + 1):",

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphcurv
-from graphcurv import (apsp, cli, game, parse_edge_list, parse_generator_spec, path, serialize,
-                       solve_curvature_float, star)
+from graphcurv import (HardVerificationError, apsp, cli, game, parse_edge_list, parse_generator_spec,
+                       path, serialize, solve_curvature_float, star)
 from oracles import dist_text_per_int, json_indent2
 from test_metric import family_graphs_up_to
 
@@ -427,6 +427,8 @@ class TestExitCodes:
         ("gnp:3", "wrong parameter count for gnp"),
         ("grid:3", "wrong parameter count for grid"),
         ("path:3,4", "wrong parameter count for path"),
+        ("gnp:5,1/0", "bad parameter '1/0' in generator spec 'gnp:5,1/0'"),
+        ("path:1/0", "bad parameter '1/0' in generator spec 'path:1/0'"),
     ])
     def test_bad_generator_parameters(self, capsys, spec, message):
         code, out, err = run(capsys, "gen", "--input", spec)
@@ -485,6 +487,21 @@ class TestExitCodes:
     def test_inconsistent_verify(self, capsys):
         code, _, _ = run(capsys, "verify", "--input", "complete:1")
         assert code == 4
+
+    def test_zero_vertices(self, capsys, tmp_path):
+        f = tmp_path / "g.edges"
+        f.write_text("0 0\n")
+        code, out, err = run(capsys, "gen", "--input", str(f))
+        assert (code, out, err) == (2, "", "error: vertex count must be positive, got 0\n")
+
+    @pytest.mark.parametrize("command", ["curvature", "verify", "game", "report"])
+    def test_hard_verification_failure(self, capsys, monkeypatch, command):
+        def forged(D):
+            raise HardVerificationError("forged")
+
+        monkeypatch.setattr(cli, "solve_curvature", forged)
+        code, out, err = run(capsys, command, "--input", "path:3")
+        assert (code, out, err) == (5, "", "hard verification failure: forged\n")
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_negative_samples(self, capsys, command):

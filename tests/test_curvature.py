@@ -29,7 +29,7 @@ from graphcurv import (
 )
 from graphcurv import curvature
 from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, dixon_lift, solve_exact
-from graphcurv.rationals import FLOAT_EXACT_MAX
+from graphcurv.rationals import FLOAT_EXACT_MAX, INT64_MAX
 from oracles import (
     bareiss_solve,
     eliminate_mod_int64,
@@ -418,7 +418,7 @@ def assert_inverts_block(A, p, rows, cols, C):
 class TestEliminateMod:
     """The Gauss-Jordan kernel against the inverse it computes and the kernel before the panels."""
 
-    # in int64, the dtype the exact solve hands the kernel: it computes in A's dtype
+    # in int64, the dtype the exact solve hands the kernel
     MATRICES = [apsp(g).entries.astype(np.int64)
                 for g in (path(3), cycle(7), gnp(40, Fraction(1, 5), 1)[0], star(9), complete(5))]
 
@@ -447,7 +447,7 @@ class TestEliminateMod:
     def test_python_ints_match_int64(self):
         A = self.MATRICES[2]
         rows, cols, C = _eliminate_mod(A.astype(object), 101)
-        assert C.dtype == object
+        assert C.dtype == np.int64
         expected = _eliminate_mod(A, 101)
         assert (rows, cols) == expected[:2] and np.array_equal(C, expected[2])
 
@@ -506,10 +506,10 @@ class TestPanelKernel:
         rows, cols, C = _eliminate_mod(A, p)
         expected = eliminate_mod_int64(A, p)
         assert (rows, cols) == expected[:2]
-        assert C.dtype == A.dtype and np.array_equal(C, expected[2])
+        assert C.dtype == np.int64 and np.array_equal(C, expected[2])
         # residues below p: a sum of at most 2 _PANEL + 1 products below p^2 fits int64
         block = (A[np.ix_(rows, cols)] % p).astype(np.int64)
-        assert np.array_equal(C.astype(np.int64) @ block % p, np.eye(len(cols), dtype=np.int64))
+        assert np.array_equal(C @ block % p, np.eye(len(cols), dtype=np.int64))
         return rows, cols
 
     @pytest.mark.parametrize("p", [2, 3, 7, LIFT_PRIME])
@@ -524,12 +524,11 @@ class TestPanelKernel:
 
     @pytest.mark.parametrize("p", [7, LIFT_PRIME])
     def test_object_entries_beyond_int64(self, p):
-        # reduced mod p first, then the same kernel; C comes back as Python ints
+        # reduced mod p first, then the same kernel; C comes back in int64
         D = apsp(gnp(_PANEL + 1, Fraction(1, 4), 2)[0]).entries
         A = D.astype(object) * 2**64 + D
         assert abs(A).max() >= 2**63
         self.assert_matches(A, p)
-        assert type(_eliminate_mod(A, p)[2][0, 0]) is int
 
     @pytest.mark.parametrize("p", [7, 65521, 1048571, LIFT_PRIME])
     def test_reduce_near_multiples_of_p(self, p):
@@ -554,7 +553,7 @@ class TestPanelKernel:
         A = np.random.default_rng(seed).integers(-spread, spread + 1, (m, k))
         A[zero_rows[0]:sum(zero_rows)] = 0
         A[:, zero_cols[0]:sum(zero_cols)] = 0
-        if as_object:  # now and then a matrix beyond int64, as the exact solve passes on
+        if as_object:  # now and then a matrix beyond int64, reduced mod p first
             A = A.astype(object) * 2**64 + A
         self.assert_matches(A, p)
 
@@ -580,7 +579,7 @@ def tall_systems(draw):
             B[r + draw(st.integers(0, below - 1)), j] += e
     order = draw(st.permutations(range(r + below)))
     A, B = A[order], B[order]
-    if draw(st.integers(0, 4)) == 0:  # now and then on Python ints, as past the int64 guard
+    if draw(st.integers(0, 4)) == 0:  # now and then on Python ints, which the lift also takes
         A, B = A.astype(object), B.astype(object)
     return A, B
 
@@ -771,28 +770,62 @@ class TestDixonLifting:
         monkeypatch.setattr(curvature, "_eliminate_mod", spy)
         return dtypes
 
-    def test_size_guard_falls_back(self, monkeypatch):
-        # past the guard the same kernel runs on Python ints
-        D = apsp(star(5))
-        expected = solve_curvature_fraction(D)
-        dtypes = self.spy_dtypes(monkeypatch)
-        monkeypatch.setattr(curvature, "LIFT_MAX_N", 4)
-        sol = solve_curvature(D)
-        assert (sol.status, sol.nullity, sol.w) == expected
-        monkeypatch.setattr(curvature, "LIFT_MAX_N", 5)
-        assert solve_curvature(D) == sol
-        assert dtypes == [object, np.int64]
+    @staticmethod
+    def spy_tiers(monkeypatch):
+        # the tier of each of the lift's products, as `exact_matmul` picks it
+        tiers = []
+        matmul = curvature.exact_matmul
+
+        def spy(A, columns, bound, A_float=None):
+            assert columns.dtype == np.int64  # the residues and X are never Python ints
+            obj = bound > INT64_MAX or A.dtype == object
+            tiers.append("object" if obj else "float64" if bound <= FLOAT_EXACT_MAX else "int64")
+            return matmul(A, columns, bound, A_float)
+
+        monkeypatch.setattr(curvature, "exact_matmul", spy)
+        return tiers
 
     def test_int64_guard(self, monkeypatch):
-        # beyond the guard an int64 residual could overflow, so the lift runs on Python ints
-        dtypes = self.spy_dtypes(monkeypatch)
+        # r a p + beta sets each A X product's tier; C (R mod p) stays on float64
+        tiers = self.spy_tiers(monkeypatch)
         A = np.array([[2**42]], dtype=np.int64)
         assert solve_exact(A, [1]) == ([0], [1], 2**42)
+        assert set(tiers[1::2]) == {"int64"}
+        tiers.clear()
         assert solve_exact(A // 2**10, [1]) == ([0], [1], 2**32)
+        assert set(tiers) == {"float64"}
         # rank deficient: the free column of 2^43 joins the lift's right-hand side
+        tiers.clear()
         assert solve_exact(np.array([[2**42, 2**43], [1, 2]], dtype=np.int64), [2**42, 1]) == (
             [0], [1, 0], 1)
-        assert dtypes == [object, np.int64, object]
+        assert set(tiers[::2]) == {"float64"} and set(tiers[1::2]) == {"int64"}
+
+    @staticmethod
+    def minus_a_below(a, target):
+        """The largest b <= target with b = -a mod LIFT_PRIME: the lift's first X is p - 1."""
+        return target - (target + a) % LIFT_PRIME
+
+    @pytest.mark.parametrize("case", ["a (p-1) just below 2^63", "a p just below 2^63",
+                                      "b = -a mod p^2"])
+    def test_residual_past_int64_takes_python_ints(self, case, monkeypatch):
+        # a x = b where A X fits int64 and R - A X does not.  The bound r a (p-1)
+        # misses the first, r a p the second and r a (p-1) + beta the third: there
+        # X = p - 1 twice, so R reaches 8 p - a and R - A X = -p (a - 8)
+        p = LIFT_PRIME
+        if case == "b = -a mod p^2":
+            a = 2**63 // p + 21
+            b = -a + 8 * p**2
+        else:
+            a = INT64_MAX // (p - 1 if case.startswith("a (p-1)") else p)
+            b = self.minus_a_below(a, -2**62)
+        tiers = self.spy_tiers(monkeypatch)
+        x = Fraction(b, a)
+        assert solve_exact(np.array([[a]], dtype=np.int64), [b]) == (
+            [0], [x.numerator], x.denominator)
+        assert tiers[:2] == ["float64", "object"]
+
+    def test_right_hand_side_past_int64(self):
+        assert solve_exact(np.array([[3]], dtype=np.int64), [2**70]) == ([0], [2**70], 3)
 
     def test_singular_and_inconsistent_systems_are_certified(self, monkeypatch):
         dtypes = self.spy_dtypes(monkeypatch)

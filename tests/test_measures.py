@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,13 @@ class TestConstruction:
     def test_validates_nonempty(self):
         with pytest.raises(ValueError):
             Measure([])
+
+    @pytest.mark.parametrize("entries", [[0.5, 0.5], ["1/2", "1/2"], [Decimal("0.5")] * 2,
+                                         [Fraction(1, 2), 0.5]])
+    def test_rejects_floats_strings_and_decimals(self, entries):
+        # as `from_weights` does: no float or parsed string reaches an exact measure
+        with pytest.raises(TypeError, match="^Measure takes ints and Fractions only$"):
+            Measure(entries)
 
     def test_support(self):
         assert measure_uniform_on(5, {1, 3}).support() == (1, 3)

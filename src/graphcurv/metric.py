@@ -8,8 +8,10 @@ pass per level advances every source at once (Akiba, Iwata & Yoshida, SIGMOD
 2013; Then et al., MS-BFS, VLDB 2014).  On deep graphs (paths, long cycles)
 each level carries about one new bit per word and numpy call overhead
 dominates, so they take scipy's per-source Dijkstra (`_dijkstra`), imported
-only there; scipy's float64 rows come in blocks of sources, each written
-straight into the narrow D.  Either way D comes back in
+only there.  It searches only from the anchors, the vertices of degree other
+than 2, and fills the row of every vertex inside a chain of degree-2 vertices
+from the rows of the chain's two ends; scipy's float64 rows come in blocks of
+sources, each written straight into the narrow D.  Either way D comes back in
 np.min_scalar_type(diameter), uint8 up to 255 and uint16 up to 65,535, with
 no n x n float64 made; the exact solve and the game widen it to int64 where
 their arithmetic needs it.  Every search reads the graph's own CSR arrays.
@@ -17,6 +19,7 @@ their arithmetic needs it.  Every search reads the graph's own CSR arrays.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -143,26 +146,118 @@ def _gather(frontier: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _dijkstra(g: Graph) -> np.ndarray:
-    """Distances of a connected graph by scipy's per-source Dijkstra, in the narrowest dtype.
+    """Distances of a connected graph from scipy's Dijkstra at its anchors, in the narrowest dtype.
 
-    Scipy searches from one block of _BLOCK_CELLS // n source rows at a time
-    and returns that block in float64; it is written straight into D, held in
-    np.min_scalar_type(n - 1) and narrowed to the diameter's dtype at the end.
-    No n^2 float64 matrix is made.
+    An anchor is a vertex of degree other than 2; a cycle has none, and
+    vertex 0 stands in.  Every other vertex lies inside a chain of degree-2
+    vertices between two anchors a and b (a == b when the chain closes on
+    its anchor).  A path from x, at offset i on a chain of L edges, can leave
+    the chain only through a or b, so D[x] = min(D[a] + i, D[b] + L - i),
+    and on the chain's own columns, at offsets j, also |i - j|.  This is the
+    contraction of degree-2 vertices that starts contraction hierarchies
+    (Geisberger, Sanders, Schultes & Delling, WEA 2008), applied exactly.
+
+    Scipy searches from one block of _BLOCK_CELLS // n anchors at a time and
+    returns that block in float64, written straight into D, which is held in
+    np.min_scalar_type(n - 1) and narrowed to the diameter's dtype at the
+    end.  Chain rows come in blocks of as many rows, in
+    np.min_scalar_type(2 n), which holds D[b] + L; a chain's own columns are
+    slices over its runs of consecutive labels.  No n^2 float64 matrix is
+    made.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     n = g.n
-    adj = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices, g.indptr), shape=(n, n))
     D = np.empty((n, n), dtype=np.min_scalar_type(n - 1))  # every distance is below n
+    is_anchor = np.diff(g.indptr) != 2
+    if not is_anchor.any():
+        is_anchor[0] = True
+    anchors = np.flatnonzero(is_anchor)
+    # float64 weights, scipy's own dtype: int8 ones would be converted on every search
+    adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(n, n))
     step = max(1, _BLOCK_CELLS // n)
-    for r0 in range(0, n, step):
+    for k in range(0, len(anchors), step):
         # adjacency is symmetric, so the directed search gives the same distances;
         # the undirected one also walks the transpose, about 15% slower
-        D[r0:r0 + step] = shortest_path(adj, method="D", unweighted=True, directed=True,
-                                        indices=np.arange(r0, min(r0 + step, n)))
+        rows = anchors[k:k + step]
+        D[rows] = shortest_path(adj, method="D", unweighted=True, directed=True, indices=rows)
+    if len(anchors) < n:
+        _chain_rows(g, is_anchor, D, step)
     return D.astype(np.min_scalar_type(int(D.max())), copy=False)
+
+
+def _chain_rows(g: Graph, is_anchor: np.ndarray, D: np.ndarray, step: int) -> None:
+    """Fill the rows of D at every vertex that is not an anchor from its chain's two anchor rows."""
+    n = g.n
+    # one walk: each chain once, from an anchor a into its first vertex and on to b.
+    # A chain starts at both of its ends; the second start finds its vertex walked.
+    inner = np.flatnonzero(~is_anchor)
+    nbr = g.indices[g.indptr[inner, None] + np.arange(2)]
+    at_anchor = is_anchor[nbr]
+    unwalked = dict(zip(inner.tolist(), nbr.tolist()))  # vertex -> its two neighbours
+    ends, chains = [], []
+    for a, v in zip(nbr[at_anchor].tolist(), np.repeat(inner, at_anchor.sum(axis=1)).tolist()):
+        if v not in unwalked:
+            continue
+        prev, cur, chain = a, v, []
+        while cur in unwalked:
+            chain.append(cur)
+            p, q = unwalked.pop(cur)
+            prev, cur = cur, (q if p == prev else p)
+        ends.append((a, cur))
+        chains.append(chain)
+    lens = np.array([len(c) for c in chains])  # L - 1 for a chain of L edges
+    first = np.cumsum(lens) - lens
+    rows = np.fromiter(itertools.chain.from_iterable(chains), dtype=np.intp, count=lens.sum())
+    total = len(rows)
+    a_row, b_row = np.repeat(np.array(ends), lens, axis=0).T
+    offset = np.arange(total) - np.repeat(first - 1, lens)  # i, from 1 to L - 1
+    w = np.min_scalar_type(2 * n)  # holds D[b] + L
+    i_s = offset.astype(f"i{w.itemsize}")  # |i - j| is taken signed, then viewed as w
+    i_w = i_s.view(w)
+    rest_w = (np.repeat(lens + 1, lens) - offset).astype(w)  # L - i
+
+    # a chain's own columns, in runs of consecutive labels: one slice each.  A chain of
+    # one vertex has only its diagonal, set below for every chain at once.
+    split = np.ones(total + 1, dtype=bool)
+    split[1:-1] = np.abs(rows[1:] - rows[:-1]) != 1
+    split[first] = True
+    bounds = np.flatnonzero(split).tolist()
+    labels = rows.tolist()
+    runs = []  # (first row of its chain, end row of its chain, columns, offsets j)
+    k = 0
+    for cs, ce in zip(first.tolist(), (first + lens).tolist()):
+        while bounds[k] < ce:
+            p, q = bounds[k], bounds[k + 1]
+            k += 1
+            if ce - cs > 1:
+                lo = min(labels[p], labels[q - 1])
+                j = i_s[p:q] if labels[p] == lo else i_s[p:q][::-1]  # in label order
+                runs.append((cs, ce, slice(lo, lo + q - p), j))
+    run_ends = [run[1] for run in runs]
+
+    block = np.empty((min(step, total), n), dtype=w)
+    other = np.empty_like(block)
+    scratch = other.reshape(-1).view(i_s.dtype)  # |i - j|, once x holds the minimum
+    for r0 in range(0, total, step):
+        r1 = min(r0 + step, total)
+        x, y = block[:r1 - r0], other[:r1 - r0]
+        np.add(i_w[r0:r1, None], D[a_row[r0:r1]], out=x)
+        np.add(rest_w[r0:r1, None], D[b_row[r0:r1]], out=y)
+        np.minimum(x, y, out=x)
+        k = bisect.bisect_right(run_ends, r0)  # the first run whose chain ends past r0
+        while k < len(runs) and runs[k][0] < r1:
+            cs, ce, cols, j = runs[k]
+            k += 1
+            s, e = max(cs, r0), min(ce, r1)
+            d = scratch[:(e - s) * len(j)].reshape(e - s, len(j))
+            np.subtract.outer(i_s[s:e], j, out=d)
+            np.abs(d, out=d)
+            own = x[s - r0:e - r0, cols]  # one view as input and output: no copy is made
+            np.minimum(own, d.view(w), out=own)
+        D[rows[r0:r1]] = x
+    D[rows, rows] = 0
 
 
 def row_sums(D: DistanceMatrix) -> np.ndarray:

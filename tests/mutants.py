@@ -211,6 +211,15 @@ MUTANTS = [
     Mutant("dijkstra-dtype-below-diameter", "metric.py",
            "np.min_scalar_type(int(D.max()))", "np.min_scalar_type(int(D.max()) - 1)",
            (CLI + "test_output_matches_golden[curvature-path:257-0]",)),
+    Mutant("chain-own-columns-no-min", "metric.py",
+           "np.minimum(own, d.view(w), out=own)", "own",
+           (METRIC + "TestChainKernel::test_named_graphs[spider]",)),
+    Mutant("chain-far-end-off-by-one", "metric.py",
+           "(np.repeat(lens + 1, lens) - offset)", "(np.repeat(lens + 1, lens) - offset - 1)",
+           (METRIC + "TestChainKernel::test_named_graphs[theta]",)),
+    Mutant("chain-no-stand-in-anchor", "metric.py",
+           "        is_anchor[0] = True", "        pass",
+           (METRIC + "TestChainKernel::test_named_graphs[cycle]",)),
     # graphs
     Mutant("gnp-column-off-by-one", "graphs.py",
            "j = kept - offsets[i] + i + 1", "j = kept - offsets[i] + i + 2",

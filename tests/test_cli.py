@@ -178,6 +178,16 @@ def test_dist_matches_golden(spec, fmt, ext):
     assert result.stdout == expected
 
 
+def test_dist_of_shuffled_lollipop_matches_golden(capsys):
+    # a stick of 150 edges and a cycle of 150 vertices on it, labels permuted by
+    # numpy's default_rng(300): deep, so its chains of degree-2 vertices run through
+    # labels in no order; the CSV was written while scipy searched from every vertex
+    data = Path(__file__).parent / "data"
+    expected = (data / "dist_lollipop_300_shuffled.csv").read_text(encoding="utf-8")
+    assert run(capsys, "dist", "--input", str(data / "lollipop_300_shuffled.edges"),
+               "--format", "csv") == (0, expected, "")
+
+
 # spec -> tests/data/gen_<spec>.txt, written by the set-based Graph constructor
 GEN_GOLDEN_SPECS = ["grid:3,4", "hypercube:3"]
 

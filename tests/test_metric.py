@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -302,23 +303,102 @@ class TestBranches:
     @pytest.mark.parametrize("spec,rows", [("path:70", 3), ("path:70", 1), ("cycle:131", 5),
                                            ("grid:3,70", 19)])
     def test_dijkstra_in_row_blocks(self, spec, rows, monkeypatch):
-        # n = rows k + 1: several blocks of `rows` source rows and a last one of one row
+        # scipy searches only from the anchors, `rows` of them at a time: path:70's two
+        # ends, cycle:131's stand-in vertex 0 and grid:3,70's 206 vertices off its four
+        # corners; the chain rows come in blocks of as many rows
         g = parse_generator_spec(spec)
-        assert (g.n - 1) % rows == 0 and g.n > rows
+        anchors = [v for v in range(g.n) if g.degree(v) != 2] or [0]
         whole = shortest_path(scipy_adjacency(g), method="D", unweighted=True)
         searched = []
 
         def search(*args, indices, **kw):
-            searched.append(len(indices))
+            searched.append(indices.tolist())
             return shortest_path(*args, indices=indices, **kw)
 
         monkeypatch.setattr(metric, "_BLOCK_CELLS", rows * g.n + g.n - 1)
         monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", search)
         D = metric._dijkstra(g)
-        assert searched == [rows] * ((g.n - 1) // rows) + [1]
+        assert searched == [anchors[k:k + rows] for k in range(0, len(anchors), rows)]
         assert D.dtype == np.min_scalar_type(int(whole.max()))
         assert np.array_equal(D, whole)
         assert np.array_equal(D, floyd_warshall(g))
+
+
+def relabelled(g, seed):
+    """g with its vertex labels permuted at random."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return Graph(g.n, perm[np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)])
+
+
+def chain_graph(n, *chains):
+    """n vertices joined by paths: each chain lists the vertices it runs through."""
+    return Graph(n, [e for chain in chains for e in zip(chain, chain[1:])])
+
+
+# graphs whose chains of degree-2 vertices take every shape the chain kernel meets
+CHAIN_GRAPHS = {
+    "cycle": cycle(40),  # no vertex of degree other than 2: vertex 0 stands in
+    # a stick 0..5 and a cycle 5..17 that closes on its own anchor 5
+    "lollipop": chain_graph(18, range(6), [*range(5, 18), 5]),
+    # three chains of 3, 4 and 6 edges between anchors 0 and 1
+    "theta": chain_graph(12, [0, 2, 3, 1], [0, 4, 5, 6, 1], [0, 7, 8, 9, 10, 11, 1]),
+    # anchors 0 and 1, each with a leaf, joined by an edge and by a chain of 5 edges
+    "edge-and-chain": chain_graph(8, [6, 0, 1, 7], [0, 2, 3, 4, 5, 1]),
+    # legs of 1, 7, 12 and 30 edges from the centre 0
+    "spider": chain_graph(51, [0, 1], [0, *range(2, 9)], [0, *range(9, 21)], [0, *range(21, 51)]),
+    # a spine 0..19 with a leaf on every other spine vertex: chains of one vertex
+    "caterpillar": chain_graph(30, range(20), *([v, 20 + v // 2] for v in range(0, 20, 2))),
+    "path-shuffled": relabelled(path(90), 1),
+    "cycle-shuffled": relabelled(cycle(90), 2),
+}
+
+
+class TestChainKernel:
+    """`_dijkstra` on graphs of many chain shapes, called directly, against Floyd-Warshall."""
+
+    @staticmethod
+    def assert_exact(g):
+        reference = floyd_warshall(g)
+        D = metric._dijkstra(g)
+        assert D.dtype == np.min_scalar_type(int(reference.max()))
+        assert np.array_equal(D, reference)
+
+    @pytest.mark.parametrize("name", CHAIN_GRAPHS)
+    def test_named_graphs(self, name, monkeypatch):
+        g = CHAIN_GRAPHS[name]
+        self.assert_exact(g)
+        monkeypatch.setattr(metric, "_BLOCK_CELLS", 2 * g.n)  # two rows a block: chains split
+        self.assert_exact(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.tuples(*(st.integers(0, v - 1) for v in range(1, n))),  # each vertex's tree parent
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3),
+        st.lists(st.integers(0, 20), min_size=n + 2, max_size=n + 2),  # subdivisions per edge
+        st.integers(0, 2 ** 32 - 1), st.integers(1, 6))))
+    def test_drawn_graphs(self, drawn):
+        parents, extra, splits, seed, rows = drawn
+        pairs = {tuple(sorted(e)) for e in [*enumerate(parents, 1), *extra] if e[0] != e[1]}
+        n, edges = len(parents) + 1, []
+        for (u, v), k in zip(sorted(pairs), splits):
+            edges.append([u, *range(n, n + k), v])
+            n += k
+        g = relabelled(chain_graph(n, *edges), seed)
+        self.assert_exact(g)
+        with mock.patch.object(metric, "_BLOCK_CELLS", rows * g.n):
+            self.assert_exact(g)
+
+    def test_one_search_per_deep_family(self, monkeypatch):
+        searched = []
+
+        def search(*args, indices, **kw):
+            searched.append(indices.tolist())
+            return shortest_path(*args, indices=indices, **kw)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", search)
+        metric._dijkstra(path(1500))
+        metric._dijkstra(cycle(1000))
+        assert searched == [[0, 1499], [0]]
 
 
 class TestDisconnectedPair:

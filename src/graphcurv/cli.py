@@ -25,7 +25,8 @@ their keys (the verify records) come as one `_Records` table, a column per
 key, each encoded at once and joined by one %-template per record.
 
 Exit codes: 0 ok, 2 input error, 3 disconnected graph, 4 inconsistent
-curvature system, 5 hard verification failure.
+curvature system, 5 hard verification failure; 1, without a traceback,
+when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -74,7 +75,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "samples", 0) < 0:
         parser.error(f"argument --samples: must be >= 0, got {args.samples}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # stdout now goes nowhere, so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except GraphInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,9 +13,10 @@ The lift certifies its own answers by exact divisions and a size bound.
 Null columns that combine only pivot columns left of j certify J as the
 column rank profile over Q (Dumas, Pernet & Sultan, ISSAC 2013), or the next
 prime is tried; then w, free variables zero, has D num = n den 1 on every
-row, or the system is inconsistent.  The float path is plain LU for large
-instances and never classifies the solution set; it imports scipy.linalg
-only when it runs.
+row, or the system is inconsistent.  The solve keeps its elimination in an
+`ExactSystem`, whose `transpose` lifts A^T y = c on the same inverse mod p.
+The float path is plain LU for large instances and never classifies the
+solution set; it imports scipy.linalg only when it runs.
 """
 
 from __future__ import annotations
@@ -288,15 +289,31 @@ def _fits(num: list[int], den: int, u: list[int], pk: int, ra: int, beta: int) -
         (den * x - y) % pk == 0 for x, y in zip(u, num))
 
 
-def _certified_solve(
-    A: np.ndarray, b: list[int]
-) -> tuple[list[int], list[int] | None, int, tuple[np.ndarray, np.ndarray, int]]:
-    """`solve_exact`, plus (A, C, p) of the elimination it certified.
+@dataclass(frozen=True, eq=False)
+class ExactSystem:
+    """`solve_exact`'s answer, the int64 A it solved, and C = A[I, J]^-1 mod p."""
 
-    A is the int64 matrix the lift ran on.  When A has full rank C = A^-1 mod p,
-    so a caller can lift A^T on C^T without eliminating again.  Otherwise,
-    for each prime, [b | A[:, F]] is lifted on A[:, J], pivot rows first,
-    for the pivot columns J and free columns F.
+    cols: list[int]
+    num: list[int] | None
+    den: int
+    A: np.ndarray
+    C: np.ndarray
+    p: int
+
+    def transpose(self, c: list[int]) -> tuple[list[int], int]:
+        """(y, den > 0): A^T y = den c for int64 c, lifted on C^T; ValueError unless C = A^-1."""
+        if self.A.shape != (len(self.cols),) * 2:  # only a square A of full rank has C = A^-1
+            raise ValueError(f"rank {len(self.cols)} of shape {self.A.shape}: no inverse mod p")
+        c = np.array(c, dtype=np.int64)[:, None]
+        (y, den), = dixon_lift(self.A.T, np.ascontiguousarray(self.C.T), c, self.p)
+        return y, den
+
+
+def _certified_solve(A: np.ndarray, b: list[int]) -> ExactSystem:
+    """`solve_exact` as an `ExactSystem`.
+
+    For each prime, [b | A[:, F]] is lifted on A[:, J], pivot rows first, for
+    the pivot columns J and free columns F; a full-rank A is lifted whole.
     """
     A = A.astype(np.int64, copy=False)  # distances come as uint8 or uint16; p needs more
     m, k = A.shape
@@ -305,7 +322,7 @@ def _certified_solve(
         rows, cols, C = _eliminate_mod(A, p)
         if len(cols) == m == k:  # full rank: no rows below the pivot block
             (num, den), = dixon_lift(A, C, bvec[:, None], p)
-            return cols, num, den, (A, C, p)
+            return ExactSystem(cols, num, den, A, C, p)
         free = sorted(set(range(k)) - set(cols))
         order = rows + sorted(set(range(m)) - set(rows))
         rhs = np.column_stack([bvec[order], A[np.ix_(order, free)]])
@@ -316,12 +333,12 @@ def _certified_solve(
         if any(not z or any(x for c, x in zip(cols, z[0]) if c > j) for j, z in zip(free, nulls)):
             continue
         if sol is None:
-            return cols, None, 1, (A, C, p)
+            return ExactSystem(cols, None, 1, A, C, p)
         num, den = sol
         full = [0] * k
         for c, x in zip(cols, num):
             full[c] = x
-        return cols, full, den, (A, C, p)
+        return ExactSystem(cols, full, den, A, C, p)
     raise HardVerificationError("no prime certified the rank profile")
 
 
@@ -332,7 +349,8 @@ def solve_exact(A: np.ndarray, b: list[int]) -> tuple[list[int], list[int] | Non
     den > 0, the solution whose non-pivot variables are zero; num is None
     when the system is inconsistent.  The module docstring gives the method.
     """
-    return _certified_solve(A, b)[:3]
+    system = _certified_solve(A, b)
+    return system.cols, system.num, system.den
 
 
 def solve_curvature(D: DistanceMatrix) -> CurvatureSolution:

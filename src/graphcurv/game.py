@@ -21,11 +21,11 @@ The solve is exact at close to float cost, in the manner of QSopt_ex
      which needs 10-60x fewer pivots than Bland's rule on gnp games, yields
      its final basis when that tableau looks nondegenerate;
   2. the basis is solved exactly (graphcurv.curvature._certified_solve,
-     the kernel of solve_exact) and its transpose lifted on the same
-     inverse mod p, one elimination for both, and the pair must pass the
-     optimality certificates below and an exact uniqueness check
-     (`_unique_optimum`): a unique optimum is the one Bland's rule reaches
-     too, so the answer does not depend on the rule;
+     the kernel of solve_exact) and its transpose by the same certified
+     system (`ExactSystem.transpose`), one elimination for both, and the
+     pair must pass the optimality certificates below and an exact
+     uniqueness check (`_unique_optimum`): a unique optimum is the one
+     Bland's rule reaches too, so the answer does not depend on the rule;
   3. otherwise the same loop on the same condensed tableau, Bland's rule,
      runs in float64 and its final basis is solved and certified the same
      way, without the uniqueness check;
@@ -53,7 +53,6 @@ from .curvature import (
     SolveStatus,
     _certified_solve,
     curvature_bound,
-    dixon_lift,
     solve_curvature,
 )
 from .errors import HardVerificationError
@@ -323,23 +322,22 @@ def _basis_pair(
     row and pi_s = 0, so both reduce to the square system on the basic y
     columns Y and the rows R without a basic slack: M[R, Y] y_Y = 1 and
     M[R, Y]^T pi_R = 1.  The first is solved exactly (`_certified_solve`),
-    and the second is lifted on the transpose of the inverse mod p that
-    solve certified, so one elimination serves both.  Returns (y, den),
-    (pi, pi_den): length-n Python-int numerators, zero off the basis, each
-    over its denominator; or None when the system is singular.
+    and the second by the `transpose` of the system it returns, so one
+    elimination serves both.  Returns (y, den), (pi, pi_den): length-n
+    Python-int numerators, zero off the basis, each over its denominator;
+    or None when the system is singular.
     """
     n = len(M)
     cols = [j for j in basis if j < n]
     slack_rows = {j - n for j in basis if j >= n}
     rows = [i for i in range(n) if i not in slack_rows]
-    B = M[np.ix_(rows, cols)]
-    pivots, z, den, (A, C, p) = _certified_solve(B, [1] * len(B))
-    if len(pivots) < len(B):
+    system = _certified_solve(M[np.ix_(rows, cols)], [1] * len(rows))
+    if len(system.cols) < len(rows):
         return None
-    (pi, pi_den), = dixon_lift(A.T, np.ascontiguousarray(C.T), np.ones((len(B), 1), A.dtype), p)
+    pi, pi_den = system.transpose([1] * len(rows))
     y, duals = [0] * n, [0] * n
-    for j, zj in zip(cols, z):
+    for j, zj in zip(cols, system.num):
         y[j] = zj
     for i, pj in zip(rows, pi):
         duals[i] = pj
-    return (y, den), (duals, pi_den)
+    return (y, system.den), (duals, pi_den)

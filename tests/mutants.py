@@ -121,6 +121,14 @@ MUTANTS = [
            "if any(not z or any(x for c, x in zip(cols, z[0]) if c > j) "
            "for j, z in zip(free, nulls)):", "if False:",
            (CURV + "TestCertifiedRankProfile::test_unlucky_prime_is_rejected",)),
+    # curvature: the transposed lift
+    Mutant("basis-pair-untransposed-inverse", "curvature.py",
+           "np.ascontiguousarray(self.C.T)", "np.ascontiguousarray(self.C)",
+           (CURV + "TestExactSystem::test_transpose_matches_fraction_oracle",
+            GAME + "TestBasisPair::test_one_inverse")),
+    Mutant("transpose-no-full-rank-check", "curvature.py",
+           "if self.A.shape != (len(self.cols),) * 2:", "if False:",
+           (CURV + "TestExactSystem::test_transpose_refuses_without_an_inverse",)),
     # curvature: the float path
     Mutant("float-lu-on-c-order", "curvature.py",
            "lu = D.entries.astype(np.float64).T", "lu = D.entries.astype(np.float64)",
@@ -153,9 +161,6 @@ MUTANTS = [
            "Fraction(int(low.min()), maximin.den), Fraction(int(high.max()), minimax.den)",
            "Fraction(int(low.min()), minimax.den), Fraction(int(high.max()), maximin.den)",
            (CLI + "test_output_matches_golden[game-path:7-0]",)),
-    Mutant("basis-pair-untransposed-inverse", "game.py",
-           "np.ascontiguousarray(C.T)", "np.ascontiguousarray(C)",
-           (GAME + "TestBasisPair::test_one_inverse",)),
     # rationals
     Mutant("float-tier-one-past-2^53", "rationals.py",
            "if bound > FLOAT_EXACT_MAX:", "if bound > FLOAT_EXACT_MAX + 1:",
@@ -248,6 +253,9 @@ MUTANTS = [
     Mutant("memory-error-not-mapped", "cli.py",
            "    except MemoryError as e:", "    except ZeroDivisionError as e:",
            (CLI + "TestExitCodes::test_allocation_past_memory[gen path:1000000000]",)),
+    Mutant("closed-stdout-traceback", "cli.py",
+           "    except BrokenPipeError:", "    except ZeroDivisionError:",
+           (CLI + "TestExitCodes::test_closed_stdout_exits_1_without_traceback",)),
     Mutant("hard-verification-not-mapped", "cli.py",
            "    except HardVerificationError as e:", "    except ZeroDivisionError as e:",
            (CLI + "TestExitCodes::test_hard_verification_failure",)),

@@ -22,7 +22,7 @@ built on these still fail when the kernels are broken.
   - `verifier.transport_vector` and `verify_minimax`'s block products ->
     `transport_vector_rowsum` (Python row sums) and
     `verify_minimax_per_measure` (one transport vector per measure)
-  - `curvature.solve_exact`, `_eliminate_mod` and `dixon_lift` ->
+  - `curvature.solve_exact`, its elimination mod p and its p-adic lift ->
     `solve_system_fraction` and `solve_curvature_fraction` (Gaussian
     elimination over Fractions), `bareiss_solve` (fraction-free) and
     `solve_system_fraction_lstsq` (Cramer's rule); `eliminate_mod_int64`,
@@ -32,8 +32,11 @@ built on these still fail when the kernels are broken.
   - `game.game_value` -> `game_value_float` (scipy's HiGHS) and
     `simplex_bland_fraction` (Bland's rule on a list-of-Fractions tableau);
     `simplex_basis_full` with `_nondegenerate_full` (the full-width
-    tableau), `basis_pair_fraction` and `certified_fraction` (the basis
-    pair and its certificate on Fractions) are kept for ROADMAP item 3
+    tableau) and `certified_fraction` (the certificate on Fractions) are
+    kept for ROADMAP item 3
+  - `game._basis_pair` and `curvature.ExactSystem.transpose` ->
+    `basis_pair_fraction`, both sides of the basis block solved by
+    `solve_system_fraction`
   - `cli` output -> `dist_text_per_int` (one str per distance) and
     `json_indent2` (the stdlib's indent=2 encoder)
 """
@@ -66,7 +69,7 @@ from graphcurv import (
     transport_vector,
     validate,
 )
-from graphcurv.curvature import _RESIDUAL_ROWS, FLOAT_PIVOT_FLOOR, _certified_solve, dixon_lift
+from graphcurv.curvature import _RESIDUAL_ROWS, FLOAT_PIVOT_FLOOR
 from graphcurv.game import FLOAT_PIVOT_CAP, FLOAT_TOL, GameSolution
 from graphcurv.graphs import GNP_MAX_RETRIES
 from graphcurv.measures import SAMPLE_WEIGHT_BITS
@@ -543,24 +546,27 @@ def basis_pair_fraction(
 ) -> tuple[list[Fraction], list[Fraction]] | None:
     """`graphcurv.game._basis_pair` with y and the duals as length-n lists of Fractions.
 
-    This was the library's basis solve before the pair stayed integer
-    numerators over one denominator each.
+    M[R, Y] y_Y = 1 and M[R, Y]^T pi_R = 1, for the basic y columns Y and the
+    rows R without a basic slack, both in ascending order, are each solved by
+    `solve_system_fraction` (once, when the block is symmetric); None when
+    the block is singular.
     """
     n = len(M)
-    cols = [j for j in basis if j < n]
+    cols = sorted(j for j in basis if j < n)
     slack_rows = {j - n for j in basis if j >= n}
     rows = [i for i in range(n) if i not in slack_rows]
-    B = M[np.ix_(rows, cols)]
-    pivots, z, den, (A, C, p) = _certified_solve(B, [1] * len(B))
-    if len(pivots) < len(B):
+    B = M[np.ix_(rows, cols)].tolist()
+    status, _, z = solve_system_fraction(B, [1] * len(B))
+    if status is not SolveStatus.UNIQUE:
         return None
-    (pi, pi_den), = dixon_lift(A.T, np.ascontiguousarray(C.T), np.ones((len(B), 1), A.dtype), p)
+    BT = [list(col) for col in zip(*B)]
+    pi = z if BT == B else solve_system_fraction(BT, [1] * len(B))[2]
     y = [Fraction(0)] * n
     for j, zj in zip(cols, z):
-        y[j] = Fraction(zj, den)
+        y[j] = zj
     duals = [Fraction(0)] * n
     for i, pj in zip(rows, pi):
-        duals[i] = Fraction(pj, pi_den)
+        duals[i] = pj
     return y, duals
 
 

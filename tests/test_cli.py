@@ -101,6 +101,9 @@ class RecordingStream:
         self.writes.append(len(text))
         return len(text)
 
+    def flush(self):
+        pass
+
 
 class TestDistKernel:
     """`_write_grid` against the per-int formatter it replaced."""
@@ -420,6 +423,16 @@ def run_in_2_gib(argv) -> tuple[int, str, str]:
 
 
 class TestExitCodes:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # path:1500's 4.5 MB of CSV overfill the pipe, so a write fails after the close
+        proc = subprocess.Popen([sys.executable, "-m", "graphcurv.cli", "dist", "--input",
+                                 "path:1500", "--format", "csv"], env=src_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(1) == b"0"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "dist", "--input", "/nonexistent/g.edges")
         assert code == 2 and "no such file" in err

@@ -28,7 +28,8 @@ from graphcurv import (
     transitive_oracle,
 )
 from graphcurv import curvature
-from graphcurv.curvature import _PANEL, LIFT_PRIME, _eliminate_mod, dixon_lift, solve_exact
+from graphcurv.curvature import (_PANEL, LIFT_PRIME, _certified_solve, _eliminate_mod, dixon_lift,
+                                  solve_exact)
 from graphcurv.rationals import FLOAT_EXACT_MAX, INT64_MAX
 from oracles import (
     bareiss_solve,
@@ -833,3 +834,48 @@ class TestDixonLifting:
                           (complete(1), SolveStatus.INCONSISTENT), (cycle(7), SolveStatus.UNIQUE)]:
             assert solve_curvature(apsp(g)).status is status
         assert len(dtypes) == 4  # one elimination each: LIFT_PRIME certified every rank profile
+
+
+@st.composite
+def square_systems(draw):
+    """An n x n integer matrix, n = 1-8, and two length-n vectors, entries up to 2^31."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-2**31, 2**31), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(row), draw(row)
+
+
+class TestExactSystem:
+    """The transposed lift on the solve's own elimination, against the Fraction oracle."""
+
+    @staticmethod
+    def assert_transpose_matches_oracle(A, b, c):
+        """A^T y = den c by `transpose` is A^T x = c over Fractions; returns the system."""
+        system = _certified_solve(np.array(A, dtype=np.int64), b)
+        y, den = system.transpose(c)
+        status, _, x = solve_system_fraction([list(col) for col in zip(*A)], c)
+        assert status is SolveStatus.UNIQUE
+        assert den > 0 and tuple(Fraction(v, den) for v in y) == x
+        return system
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_systems())
+    def test_transpose_matches_fraction_oracle(self, system):
+        A, b, c = system
+        assume(solve_system_fraction(A, b)[0] is SolveStatus.UNIQUE)
+        self.assert_transpose_matches_oracle(A, b, c)
+
+    def test_transpose_after_the_next_prime(self, monkeypatch):
+        # det A = 3 * 273 - 4 * 100 = 419, so A has no inverse mod 419: the
+        # solve and its transpose both lift mod LIFT_PRIME
+        A = [[3, 4, 0], [100, 273, 0], [5, 7, 1]]
+        assert len(_eliminate_mod(np.array(A), 419)[1]) == 2
+        small_primes_first(monkeypatch, (419,))
+        assert self.assert_transpose_matches_oracle(A, [1, 2, 3], [4, 5, 6]).p == LIFT_PRIME
+
+    @pytest.mark.parametrize("A", [apsp(hypercube(3)).entries + 1, np.array([[1, 2], [3, 4], [5, 7]]),
+                                   np.array([[1, 2, 3], [4, 5, 7]])],
+                             ids=["rank-deficient", "tall", "wide"])
+    def test_transpose_refuses_without_an_inverse(self, A):
+        system = _certified_solve(A, [1] * len(A))
+        with pytest.raises(ValueError, match="no inverse mod p"):
+            system.transpose([1] * A.shape[1])
